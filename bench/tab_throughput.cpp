@@ -1,14 +1,14 @@
-// Throughput table: batched test-cell pipeline vs the serial guarded flow.
+// Throughput table: the batched test cell vs the serial guarded flow.
 //
 // The paper's pitch is test-time economics, and a production test cell does
-// not test one part at a time: sigtest::BatchRuntime streams the lot
-// through acquire -> screen -> predict with per-stage worker teams and one
-// regression GEMV per batch. This bench measures devices/sec both ways, on
-// a clean chain and under a composed fault scenario, and -- the part CI
-// gates on -- verifies the batched dispositions are bit-identical to the
-// serial guarded reference (same derived per-device rng streams) before
-// reporting any speedup. A fast pipeline that changes a single disposition
-// is a broken pipeline.
+// not test one part at a time: sigtest::BatchRuntime runs the guard's state
+// machine for every device of the lot in one parallel_for over the worker
+// pool, then one regression GEMV per batch. This bench measures devices/sec
+// both ways, on a clean chain and under a composed fault scenario, and --
+// the part CI gates on -- verifies the batched dispositions are
+// bit-identical to the serial guarded reference (same derived per-device
+// rng streams) before reporting any speedup. A fast lot loop that changes a
+// single disposition is a broken lot loop.
 //
 // Exit status is non-zero on any disposition divergence. With --out FILE a
 // google-benchmark-compatible JSON is written so tools/bench_report.py can
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
               core::thread_count());
 
   // Fixed multi-tone-ish PWL stimulus: the GA search is irrelevant to the
-  // pipeline under test, and skipping it keeps the bench fast.
+  // lot loop under test, and skipping it keeps the bench fast.
   const auto cfg = sigtest::SignatureTestConfig::simulation_study();
   const auto stim = dsp::PwlWaveform::uniform(
       cfg.capture_s,

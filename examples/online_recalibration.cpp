@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   auto cal_store = std::make_shared<stf::store::CalibrationStore>(store_dir);
   auto options = service::RegistryOptions::lna_defaults();
   options.calibration_devices = 16;
-  options.batch = sigtest::BatchOptions{4, 2};
+  options.batch = sigtest::BatchOptions{4};
   service::RuntimeRegistry registry(options, cal_store);
   const auto spec = service::parse_scenario("lna:spread=0.2:pop=77");
   const auto key = registry.store_key(spec);

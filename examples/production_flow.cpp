@@ -7,7 +7,7 @@
 //       acquisition) with a guard band against prediction error.
 // Prints the confusion matrix (test escapes / yield loss), throughput and
 // cost per part for each flow, then re-runs the lot through the batched
-// guarded pipeline (sigtest::BatchRuntime) and verifies its dispositions
+// guarded test cell (sigtest::BatchRuntime) and verifies its dispositions
 // match the serial guarded reference device for device.
 #include <chrono>
 #include <cstdio>
@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
               low_cost.cost_per_part(sig.total_time_s()));
 
   // --- batched guarded throughput. ---
-  // The same lot, now with capture validation and the batched test-cell
-  // pipeline. The batched dispositions must match a serial guarded pass
+  // The same lot, now with capture validation and the batched test cell.
+  // The batched dispositions must match a serial guarded pass
   // device for device (each device owns the child stream derive(i)); the
   // speedup is reported so the example doubles as a smoke benchmark.
   {
@@ -157,7 +157,8 @@ int main(int argc, char** argv) {
           batch_result.dispositions[i].predicted != serial[i].predicted)
         ++mismatches;
 
-    std::printf("\n=== Batched guarded pipeline (batch %zu) ===\n", batch_size);
+    std::printf("\n=== Batched guarded test cell (batch %zu) ===\n",
+                batch_size);
     std::printf("serial:  %7.3f s, %8.0f devices/sec\n", serial_s,
                 serial_s > 0 ? static_cast<double>(lot.size()) / serial_s : 0);
     std::printf("batched: %7.3f s, %8.0f devices/sec (%.2fx)\n", batch_s,

@@ -1,42 +1,22 @@
-// Staged pipeline: a bounded-queue dataflow primitive for streaming work
-// through a fixed sequence of stages (the test-cell shape: acquire ->
-// screen -> predict), the batching backbone of sigtest::BatchRuntime.
-//
-// run_pipeline(n, stages) pushes items 0..n-1 through every stage in order.
-// Each stage owns a worker team; consecutive stages are connected by a
-// bounded MPMC queue, so a fast producer blocks (backpressure) instead of
-// buffering the whole lot, and a slow stage never sees items out of the
-// per-item stage order (stage s+1 runs item i only after stage s finished
-// it). Items may interleave freely *across* devices -- any cross-item
-// ordering a caller needs must live in the item state itself.
+// Bounded blocking queue: the backpressure primitive between a producer
+// and a team of consumers (the service's readers and lot workers).
 //
 // Contracts and semantics:
-//   * With thread_count() == 1 (or inside an existing parallel region) the
-//     whole pipeline runs inline on the caller, stage by stage per item, no
-//     threads, no queues. Results must therefore not depend on scheduling;
-//     per-item state (e.g. stats::Rng::derive(i) streams) is the supported
-//     pattern, exactly as in core/parallel.
-//   * Exceptions: a throwing stage body cancels the run (remaining bodies
-//     are skipped, queues drain, workers join) and the exception recorded
-//     for the lowest item index (ties: earliest stage) is rethrown on the
-//     caller -- the same lowest-index rule as parallel_for.
-//   * Telemetry: each stage body runs under a span named by the stage
-//     (names must be string literals), items completing the final stage
-//     count into "pipeline.items", and queue-full waits accumulate into
-//     "pipeline.backpressure_waits".
-//   * Stage bodies run on raw pipeline worker threads, outside the
-//     parallel_for pool: a body that itself calls parallel_for will compete
-//     for the shared pool and serialize against other dispatchers. Keep
-//     bodies serial per item.
+//   * push() blocks while the queue is full -- that wait is the
+//     backpressure, counted in blocked_pushes(). try_push() never waits and
+//     reports kFull instead, so an admission layer can shed load.
+//   * close() releases every blocked producer and consumer. Later pushes
+//     are rejected as kClosed (counted into "pipeline.rejected_after_close"),
+//     never silently dropped; consumers still drain what was queued.
+//   * The queue imposes no order across producers; any ordering a caller
+//     needs must live in the items themselves.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <utility>
-#include <vector>
 
 #include "core/annotations.hpp"
 #include "core/contracts.hpp"
@@ -55,7 +35,7 @@ enum class PushResult {
   kClosed,    ///< Queue closed: value not enqueued (typed rejection).
 };
 
-/// Bounded blocking FIFO connecting two pipeline stages. Multi-producer,
+/// Bounded blocking FIFO between producers and consumers. Multi-producer,
 /// multi-consumer; push blocks while full (that is the backpressure), pop
 /// blocks while empty, close() releases everyone. Usable standalone.
 template <class T>
@@ -151,23 +131,5 @@ class BoundedQueue {
   std::uint64_t blocked_pushes_ STF_GUARDED_BY(mutex_) = 0;
   bool closed_ STF_GUARDED_BY(mutex_) = false;
 };
-
-/// One pipeline stage: a worker team running `body(item)` for every item.
-struct PipelineStage {
-  /// Telemetry span name; must be a string literal (outlives the registry).
-  const char* name = "pipeline.stage";
-  /// Worker threads dedicated to this stage (>= 1).
-  std::size_t workers = 1;
-  /// Per-item work. Called exactly once per item (in the absence of
-  /// cancellation); item indices arrive in claim order for stage 0 and in
-  /// upstream completion order afterwards.
-  std::function<void(std::size_t item)> body;
-};
-
-/// Run items 0..n_items-1 through the stages in order. `queue_capacity`
-/// bounds every inter-stage queue (the backpressure window, in items).
-/// Blocks until the pipeline drains; rethrows the lowest-item exception.
-void run_pipeline(std::size_t n_items, const std::vector<PipelineStage>& stages,
-                  std::size_t queue_capacity = 4);
 
 }  // namespace stf::core

@@ -8,8 +8,10 @@
 namespace stf::la {
 
 namespace {
+// `what` is read only by the contract, which unchecked builds compile out.
 void check_same_size(const std::vector<double>& a,
-                     const std::vector<double>& b, const char* what) {
+                     const std::vector<double>& b,
+                     [[maybe_unused]] const char* what) {
   STF_REQUIRE(a.size() == b.size(), what);
 }
 }  // namespace

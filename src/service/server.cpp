@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <list>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -201,7 +202,10 @@ SigtestServer::SigtestServer(
 SigtestServer::~SigtestServer() { stop(); }
 
 void SigtestServer::start() {
-  STF_REQUIRE(!started_.exchange(true), "SigtestServer: started twice");
+  // Always checked, never inside a contract macro: an unchecked build
+  // compiles contract conditions out, and stop() keys off started_.
+  if (started_.exchange(true))
+    throw std::logic_error("SigtestServer: started twice");
   listener_ = std::make_unique<stf::net::Listener>(config_.bind_address,
                                                    config_.port);
   queue_ = std::make_unique<stf::core::BoundedQueue<Work>>(

@@ -93,7 +93,8 @@ class SigtestServer {
   SigtestServer& operator=(const SigtestServer&) = delete;
 
   /// Bind, then spawn workers + accept loop. Throws net::SocketError when
-  /// the port is taken. Call at most once.
+  /// the port is taken. Call at most once: a second call throws
+  /// std::logic_error in every build mode.
   void start();
 
   /// Graceful drain (idempotent): stop accepting, let every admitted lot

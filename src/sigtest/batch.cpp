@@ -1,12 +1,10 @@
 #include "sigtest/batch.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 
 #include "core/contracts.hpp"
 #include "core/parallel.hpp"
-#include "core/pipeline.hpp"
 #include "core/telemetry.hpp"
 #include "linalg/matrix.hpp"
 
@@ -22,7 +20,6 @@ BatchRuntime::BatchRuntime(const SignatureTestConfig& config,
                cal_options, max_signature_bins),
       batch_(batch) {
   STF_REQUIRE(batch_.batch_size >= 1, "BatchRuntime: batch_size < 1");
-  STF_REQUIRE(batch_.queue_capacity >= 1, "BatchRuntime: queue_capacity < 1");
 }
 
 void BatchRuntime::calibrate(
@@ -45,8 +42,6 @@ LotResult BatchRuntime::test_lot(const std::vector<const stf::rf::RfDut*>& lot,
                                  const BatchOptions& batch) const {
   STF_TRACE_SPAN("batch.test_lot");
   STF_REQUIRE(batch.batch_size >= 1, "BatchRuntime::test_lot: batch_size < 1");
-  STF_REQUIRE(batch.queue_capacity >= 1,
-              "BatchRuntime::test_lot: queue_capacity < 1");
   STF_REQUIRE(guarded_.calibrated(), "BatchRuntime::test_lot: not calibrated");
   // Pin the calibration version ONCE for the whole lot: every device in it
   // screens and predicts on this snapshot, so a concurrent hot-swap never
@@ -65,153 +60,41 @@ LotResult BatchRuntime::test_lot(const std::vector<const stf::rf::RfDut*>& lot,
   STF_COUNT("batch.lots");
   STF_COUNT("batch.devices", n);
 
-  const SignatureAcquirer& acq = guarded_.runtime().acquirer();
-  const double fs = acq.config().digitizer.fs_hz;
-  const std::size_t m = acq.signature_length();
-  const std::size_t cap_len = acq.capture_length();
-  const GuardPolicy& policy = guarded_.policy();
-
-  // Per-device child rng streams: no draw ever crosses a device boundary,
-  // which is the whole determinism story (see header).
-  std::vector<stf::stats::Rng> rngs;
-  rngs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    rngs.push_back(rng.derive(first_sequence + i));
-
-  // SoA lot state. `batch_captures[b]` holds one batch's attempt-1 raw
-  // captures as a flat row-major matrix (one allocation per batch, not per
-  // device) between the acquire and screen stages; the screen stage frees
-  // it, so in-flight capture memory stays bounded by the queue window.
-  // `signatures` is the validated-average matrix the predict stage consumes
-  // batch-wise; signatures are written straight into its rows.
-  const std::size_t n_batches =
-      (n + batch.batch_size - 1) / batch.batch_size;
-  std::vector<stf::la::Matrix> batch_captures(n_batches);
+  // Every device is independent: it owns the derived child stream
+  // rng.derive(first_sequence + i), its fault sequence number, row i of the
+  // lot's signature matrix and disposition slot i, and runs the guard's one
+  // state machine on the pinned snapshot. No draw or write crosses a device
+  // boundary, so any schedule gives the serial reference's dispositions,
+  // and a retested device holds one worker, not the whole lot.
+  const std::size_t m = guarded_.runtime().acquirer().signature_length();
   stf::la::Matrix signatures(n, m);
-  std::vector<char> needs_predict(n, 0);
+  stf::core::parallel_for(
+      0, n,
+      [&](std::size_t i) {
+        stf::stats::Rng child = rng.derive(first_sequence + i);
+        result.dispositions[i] = guarded_.test_device(
+            *lot[i], child, cal, {signatures.row_ptr(i), m}, faults,
+            first_sequence + i);
+      },
+      /*grain=*/1);
 
-  const auto batch_range = [&](std::size_t b) {
-    const std::size_t lo = b * batch.batch_size;
-    return std::pair<std::size_t, std::size_t>{
-        lo, std::min(lo + batch.batch_size, n)};
-  };
-
-  // Stage 1: the tester front end -- raw capture + fault injection for each
-  // device's first attempt. The wide stage: it dominates wall-clock, so it
-  // gets every worker the screen/predict stages do not need. Captures land
-  // directly in the batch's flat matrix; all scratch is arena-backed, so
-  // the steady-state per-device heap allocation count here is zero.
-  stf::core::PipelineStage acquire;
-  acquire.name = "batch.acquire";
-  const std::size_t threads = stf::core::thread_count();
-  acquire.workers = threads > 3 ? threads - 2 : 1;
-  acquire.body = [&](std::size_t b) {
-    const auto [lo, hi] = batch_range(b);
-    batch_captures[b] = stf::la::Matrix(hi - lo, cap_len);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::span<double> cap(batch_captures[b].row_ptr(i - lo), cap_len);
-      acq.raw_capture_into(*lot[i], guarded_.runtime().stimulus(), &rngs[i],
-                           cap);
-      if (faults != nullptr)
-        faults->apply(cap, fs, first_sequence + i, rngs[i]);
-    }
-  };
-
-  // Stage 2: GuardedRuntime::test_device's validation/retest loop, with
-  // attempt 1 consuming the pre-acquired capture instead of re-drawing.
-  // Retry attempts re-enter the guarded capture path with the device's own
-  // rng, so the draw sequence matches the serial reference exactly.
-  stf::core::PipelineStage screen;
-  screen.name = "batch.screen";
-  screen.body = [&](std::size_t b) {
-    const auto [lo, hi] = batch_range(b);
-    for (std::size_t i = lo; i < hi; ++i) {
-      STF_COUNT("guard.devices");
-      TestDisposition d;
-      int n_avg = 1;
-      bool ok = false;
-      const std::span<const double> cap(batch_captures[b].row_ptr(i - lo),
-                                        cap_len);
-      const std::span<double> sig_row(signatures.row_ptr(i), m);
-      for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
-        if (attempt > 1) {
-          STF_COUNT("guard.retries");
-          n_avg *= policy.escalation_averages;
-          if (n_avg > 1) STF_COUNT("guard.escalations");
-        }
-        d.attempts = attempt;
-
-        // Attempt 1 consumes the pre-acquired capture and writes its
-        // signature straight into the device's matrix row -- no per-device
-        // vectors. Retry attempts re-enter the guarded capture path.
-        CaptureFlaw flaw = CaptureFlaw::kNone;
-        if (attempt == 1) {
-          d.captures += 1;
-          flaw = guarded_.inspect_capture(cap);
-          if (flaw == CaptureFlaw::kNone) acq.signature_into(cap, sig_row);
-        } else {
-          const CaptureAttempt a = guarded_.capture_attempt(
-              *lot[i], rngs[i], faults, first_sequence + i, n_avg);
-          d.captures += a.captures;
-          flaw = a.flaw;
-          if (flaw == CaptureFlaw::kNone) {
-            STF_ASSERT(a.signature.size() == m,
-                       "BatchRuntime: signature length mismatch");
-            std::copy(a.signature.begin(), a.signature.end(),
-                      sig_row.begin());
-          }
-        }
-        if (flaw != CaptureFlaw::kNone) {
-          d.last_flaw = flaw;
-          continue;  // retry with escalated averaging
-        }
-        flaw = guarded_.screen_signature(
-            *cal.screen, std::span<const double>(sig_row), &d.outlier_score);
-        if (flaw != CaptureFlaw::kNone) {
-          d.last_flaw = flaw;
-          continue;
-        }
-        d.last_flaw = CaptureFlaw::kNone;
-        d.kind = attempt == 1 ? DispositionKind::kPredicted
-                              : DispositionKind::kPredictedAfterRetry;
-        ok = true;
-        break;
-      }
-      if (ok) {
-        needs_predict[i] = 1;
-      } else {
-        d.kind = DispositionKind::kRoutedToConventional;
-        d.predicted.clear();
-        STF_COUNT("guard.routed");
-      }
-      result.dispositions[i] = std::move(d);
-    }
-    // The batch's raw captures are dead weight past this point.
-    batch_captures[b] = stf::la::Matrix();
-  };
-
-  // Stage 3: one predict_batch GEMV over the batch's validated rows.
+  // One predict_batch GEMV per batch_size chunk over the validated rows.
   // predict_batch preserves predict()'s accumulation order, so the batched
   // numbers are the serial numbers.
-  stf::core::PipelineStage predict;
-  predict.name = "batch.predict";
-  predict.body = [&](std::size_t b) {
-    const auto [lo, hi] = batch_range(b);
-    std::vector<std::size_t> idx;
-    idx.reserve(hi - lo);
+  std::vector<std::size_t> idx;
+  for (std::size_t lo = 0; lo < n; lo += batch.batch_size) {
+    const std::size_t hi = std::min(lo + batch.batch_size, n);
+    idx.clear();
     for (std::size_t i = lo; i < hi; ++i)
-      if (needs_predict[i] != 0) idx.push_back(i);
-    if (idx.empty()) return;
+      if (result.dispositions[i].has_prediction()) idx.push_back(i);
+    if (idx.empty()) continue;
     stf::la::Matrix rows(idx.size(), m);
     for (std::size_t r = 0; r < idx.size(); ++r)
-      rows.set_row(r, signatures.row(idx[r]));
+      std::copy_n(signatures.row_ptr(idx[r]), m, rows.row_ptr(r));
     const stf::la::Matrix pred = cal.model->predict_batch(rows);
     for (std::size_t r = 0; r < idx.size(); ++r)
       result.dispositions[idx[r]].predicted = pred.row(r);
-  };
-
-  stf::core::run_pipeline(n_batches, {acquire, screen, predict},
-                          batch.queue_capacity);
+  }
 
   for (const TestDisposition& d : result.dispositions) {
     switch (d.kind) {

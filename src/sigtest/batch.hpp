@@ -1,19 +1,23 @@
-// Batched test-cell runtime: streams a device lot through the guarded
-// validation pipeline in batches, overlapping acquisition with screening
-// and amortizing the regression into one GEMV-style predict per batch.
+// Batched test-cell runtime: tests a device lot as one per-device
+// parallel loop over the guard's state machine, then amortizes the
+// regression into one GEMV-style predict per batch.
 //
 // A production test cell does not see one device at a time: handlers index
-// strips/trays of parts, so the natural unit is the batch. BatchRuntime
-// keeps GuardedRuntime's per-device semantics (finiteness firewall,
-// railing, outlier screen, bounded retest with escalating averaging,
-// routing) but restructures the lot-level loop as a three-stage
-// core::run_pipeline:
+// strips/trays of parts, so the natural unit is the lot. BatchRuntime keeps
+// GuardedRuntime's per-device semantics (finiteness firewall, railing,
+// outlier screen, bounded retest with escalating averaging, routing) by
+// running that one state machine per device, and shapes the lot loop as
 //
-//   batch.acquire  -- raw captures + fault injection (the simulated-tester
-//                     front end; the wide stage, most workers)
-//   batch.screen   -- time/signature-domain validation and the retest loop
-//   batch.predict  -- one CalibrationModel::predict_batch per batch over
-//                     the SoA signature matrix
+//   pin one CalibrationVersion for the lot
+//   core::parallel_for over devices (grain 1): device i runs
+//       GuardedRuntime::test_device on the pinned snapshot, writing its
+//       validated signature into row i of the lot's signature matrix
+//   one CalibrationModel::predict_batch per batch_size chunk of validated
+//       rows
+//
+// A retested device occupies one worker while the others move on, and lots
+// run on the persistent core pool. Concurrent test_lot calls are safe; at
+// STF_THREADS > 1 they take turns on the shared pool.
 //
 // Determinism contract: dispositions are BIT-IDENTICAL, at every
 // STF_THREADS setting, to the serial reference
@@ -42,13 +46,10 @@
 
 namespace stf::sigtest {
 
-/// Knobs of the batched lot pipeline.
+/// Knobs of the batched lot loop.
 struct BatchOptions {
-  /// Devices per pipeline item. Larger batches amortize the predict GEMV
-  /// and queue hops; smaller batches drain the pipeline sooner.
+  /// Validated devices per predict_batch call: the GEMV's row count.
   std::size_t batch_size = 16;
-  /// Inter-stage queue bound (in batches); see core::run_pipeline.
-  std::size_t queue_capacity = 4;
 };
 
 /// One tested lot: per-device dispositions (lot order) plus outcome tallies.
@@ -65,7 +66,7 @@ struct LotResult {
   std::size_t devices() const { return dispositions.size(); }
 };
 
-/// GuardedRuntime plus the batched lot-streaming machinery.
+/// GuardedRuntime plus the batched lot loop.
 class BatchRuntime {
  public:
   BatchRuntime(const SignatureTestConfig& config,
@@ -96,7 +97,7 @@ class BatchRuntime {
 
   /// Per-call batching override: same dispositions as every other overload
   /// (batch size is a throughput knob, never a results knob -- tests assert
-  /// the invariance), with the pipeline shaped by `batch` instead of the
+  /// the invariance), with predict chunked by `batch` instead of the
   /// constructor-time options. The service front end uses this to honor a
   /// request's batch field on a shared runtime.
   LotResult test_lot(const std::vector<const stf::rf::RfDut*>& lot,

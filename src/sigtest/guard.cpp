@@ -1,5 +1,6 @@
 #include "sigtest/guard.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -10,6 +11,35 @@
 #include "core/telemetry.hpp"
 
 namespace stf::sigtest {
+
+namespace {
+
+/// Time-domain validation: finiteness + railing. Returns kNone if clean.
+CaptureFlaw inspect_capture(std::span<const double> capture,
+                            double rail_fraction_limit) {
+  double peak = 0.0;
+  for (double v : capture) {
+    if (!std::isfinite(v)) return CaptureFlaw::kNonFinite;
+    peak = std::max(peak, std::abs(v));
+  }
+  // All-zero captures carry no railing evidence; the outlier screen decides.
+  if (peak <= 0.0) return CaptureFlaw::kNone;
+  // Railing: a clipped front-end pins samples to the same extreme code, so
+  // the capture's maximum is attained many times *exactly*. A clean noisy
+  // capture attains its maximum essentially once (additive noise breaks
+  // ties), so exact-equality counting separates the two without knowing the
+  // rail voltage.
+  const double rail = peak * (1.0 - 1e-9);
+  std::size_t at_rail = 0;
+  for (double v : capture)
+    if (std::abs(v) >= rail) ++at_rail;
+  if (static_cast<double>(at_rail) >
+      rail_fraction_limit * static_cast<double>(capture.size()))
+    return CaptureFlaw::kRailed;
+  return CaptureFlaw::kNone;
+}
+
+}  // namespace
 
 GuardedRuntime::GuardedRuntime(const SignatureTestConfig& config,
                                stf::dsp::PwlWaveform stimulus,
@@ -111,109 +141,43 @@ std::uint64_t GuardedRuntime::swap_calibration(
   return cal_version_;
 }
 
-CaptureFlaw GuardedRuntime::inspect_capture(
-    const std::vector<double>& capture) const {
-  return inspect_capture(std::span<const double>(capture));
-}
-
-CaptureFlaw GuardedRuntime::inspect_capture(
-    std::span<const double> capture) const {
-  STF_REQUIRE(!capture.empty(),
-              "GuardedRuntime::inspect_capture: empty capture");
-  double peak = 0.0;
-  for (double v : capture) {
-    if (!std::isfinite(v)) return CaptureFlaw::kNonFinite;
-    peak = std::max(peak, std::abs(v));
-  }
-  // All-zero captures carry no railing evidence; the outlier screen decides.
-  if (peak <= 0.0) return CaptureFlaw::kNone;
-  // Railing: a clipped front-end pins samples to the same extreme code, so
-  // the capture's maximum is attained many times *exactly*. A clean noisy
-  // capture attains its maximum essentially once (additive noise breaks
-  // ties), so exact-equality counting separates the two without knowing the
-  // rail voltage.
-  const double rail = peak * (1.0 - 1e-9);
-  std::size_t at_rail = 0;
-  for (double v : capture)
-    if (std::abs(v) >= rail) ++at_rail;
-  if (static_cast<double>(at_rail) >
-      policy_.rail_fraction_limit * static_cast<double>(capture.size()))
-    return CaptureFlaw::kRailed;
-  return CaptureFlaw::kNone;
-}
-
-CaptureAttempt GuardedRuntime::capture_attempt(
+TestDisposition GuardedRuntime::test_device(
     const stf::rf::RfDut& dut, stf::stats::Rng& rng,
-    const stf::rf::FaultInjector* faults, std::uint64_t sequence,
-    int n_avg) const {
-  const SignatureAcquirer& acq = runtime_.acquirer();
-  const double fs = acq.config().digitizer.fs_hz;
-  const std::size_t m = acq.signature_length();
+    const stf::rf::FaultInjector* faults, std::uint64_t sequence) const {
+  STF_TRACE_SPAN("guard.test_device");
+  // Pin this device's calibration version once at entry: a concurrent
+  // hot-swap must never mix versions inside one device's screen + predict.
+  const CalibrationVersion cal = calibration();
+  STF_REQUIRE(cal.model != nullptr && cal.screen != nullptr,
+              "GuardedRuntime::test_device: not calibrated");
+  Signature signature(runtime_.acquirer().signature_length());
+  TestDisposition d = test_device(dut, rng, cal, signature, faults, sequence);
+  if (d.has_prediction()) d.predicted = cal.model->predict(signature);
+  return d;
+}
 
-  // Acquire (and average) this attempt's captures, validating each one in
-  // the time domain before it contributes to the signature. A flawed
-  // capture aborts the attempt immediately (no division): its signature is
-  // never consumed. The capture and per-capture signature live in the
-  // per-thread arena, so steady-state attempts touch the heap only for the
-  // returned (m-element) averaged signature.
-  CaptureAttempt a;
-  a.signature.assign(m, 0.0);
+TestDisposition GuardedRuntime::test_device(
+    const stf::rf::RfDut& dut, stf::stats::Rng& rng,
+    const CalibrationVersion& cal, std::span<double> signature,
+    const stf::rf::FaultInjector* faults, std::uint64_t sequence) const {
+  const SignatureAcquirer& acq = runtime_.acquirer();
+  const std::size_t m = acq.signature_length();
+  STF_REQUIRE(cal.screen != nullptr,
+              "GuardedRuntime::test_device: not calibrated");
+  STF_REQUIRE(signature.size() == m,
+              "GuardedRuntime::test_device: signature row length mismatch");
+  STF_COUNT("guard.devices");
+  const double fs = acq.config().digitizer.fs_hz;
+
+  // The capture and the per-capture signature live in the per-thread arena,
+  // so in steady state a device touches the heap only for its disposition.
   stf::core::Arena& arena = stf::core::capture_arena();
   const stf::core::ArenaScope scope(arena);
   stf::core::ArenaVector<double> capture(
       acq.capture_length(), 0.0, stf::core::ArenaAllocator<double>(&arena));
   stf::core::ArenaVector<double> sig(
       m, 0.0, stf::core::ArenaAllocator<double>(&arena));
-  const std::span<double> cap_span(capture.data(), capture.size());
-  for (int c = 0; c < n_avg; ++c) {
-    acq.raw_capture_into(dut, runtime_.stimulus(), &rng, cap_span);
-    ++a.captures;
-    if (faults != nullptr) faults->apply(cap_span, fs, sequence, rng);
-    a.flaw = inspect_capture(cap_span);
-    if (a.flaw != CaptureFlaw::kNone) return a;
-    acq.signature_into(cap_span, {sig.data(), sig.size()});
-    STF_ASSERT(sig.size() == m, "GuardedRuntime: signature length mismatch");
-    for (std::size_t j = 0; j < m; ++j) a.signature[j] += sig[j];
-  }
-  for (double& v : a.signature) v /= static_cast<double>(n_avg);
-  return a;
-}
-
-CaptureFlaw GuardedRuntime::screen_signature(const Signature& signature,
-                                             double* score) const {
-  return screen_signature(std::span<const double>(signature), score);
-}
-
-CaptureFlaw GuardedRuntime::screen_signature(std::span<const double> signature,
-                                             double* score) const {
-  const auto screen = this->screen();
-  STF_REQUIRE(screen != nullptr,
-              "GuardedRuntime::screen_signature: not calibrated");
-  return screen_signature(*screen, signature, score);
-}
-
-CaptureFlaw GuardedRuntime::screen_signature(const OutlierScreen& screen,
-                                             std::span<const double> signature,
-                                             double* score) const {
-  // Finiteness, then the calibration envelope. score() maps non-finite bins
-  // to +inf, so the order only affects the reported flaw label.
-  const double s = screen.score(signature);
-  if (score != nullptr) *score = s;
-  if (!std::isfinite(s)) return CaptureFlaw::kNonFinite;
-  if (s > policy_.outlier_threshold) return CaptureFlaw::kOutlier;
-  return CaptureFlaw::kNone;
-}
-
-TestDisposition GuardedRuntime::test_device(
-    const stf::rf::RfDut& dut, stf::stats::Rng& rng,
-    const stf::rf::FaultInjector* faults, std::uint64_t sequence) const {
-  STF_TRACE_SPAN("guard.test_device");
-  STF_COUNT("guard.devices");
-  // Pin this device's calibration version once at entry: a concurrent
-  // hot-swap must never mix versions inside one device's screen + predict.
-  const CalibrationVersion cal = calibration();
-  STF_REQUIRE(cal.model != nullptr && cal.screen != nullptr,
-              "GuardedRuntime::test_device: not calibrated");
+  const std::span<double> cap(capture.data(), capture.size());
 
   TestDisposition d;
   int n_avg = 1;
@@ -225,32 +189,42 @@ TestDisposition GuardedRuntime::test_device(
     }
     d.attempts = attempt;
 
-    const CaptureAttempt a =
-        capture_attempt(dut, rng, faults, sequence, n_avg);
-    d.captures += a.captures;
-    if (a.flaw != CaptureFlaw::kNone) {
-      d.last_flaw = a.flaw;
-      continue;  // retry with escalated averaging
+    // Acquire and average this attempt's captures, validating each one in
+    // the time domain before it contributes. A flawed capture aborts the
+    // attempt before the division: its partial sum is never screened.
+    CaptureFlaw flaw = CaptureFlaw::kNone;
+    std::fill(signature.begin(), signature.end(), 0.0);
+    for (int c = 0; c < n_avg; ++c) {
+      acq.raw_capture_into(dut, runtime_.stimulus(), &rng, cap);
+      ++d.captures;
+      if (faults != nullptr) faults->apply(cap, fs, sequence, rng);
+      flaw = inspect_capture(cap, policy_.rail_fraction_limit);
+      if (flaw != CaptureFlaw::kNone) break;
+      acq.signature_into(cap, {sig.data(), sig.size()});
+      for (std::size_t j = 0; j < m; ++j) signature[j] += sig[j];
     }
-
-    const CaptureFlaw flaw = screen_signature(
-        *cal.screen, std::span<const double>(a.signature), &d.outlier_score);
-    if (flaw != CaptureFlaw::kNone) {
-      d.last_flaw = flaw;
-      continue;
+    if (flaw == CaptureFlaw::kNone) {
+      for (double& v : signature) v /= static_cast<double>(n_avg);
+      // Signature-space validation against the pinned envelope. score()
+      // maps non-finite bins to +inf, so finiteness is checked first only
+      // to label the flaw.
+      d.outlier_score = cal.screen->score(std::span<const double>(signature));
+      if (!std::isfinite(d.outlier_score))
+        flaw = CaptureFlaw::kNonFinite;
+      else if (d.outlier_score > policy_.outlier_threshold)
+        flaw = CaptureFlaw::kOutlier;
     }
+    d.last_flaw = flaw;
+    if (flaw != CaptureFlaw::kNone) continue;  // retry, escalated
 
-    d.last_flaw = CaptureFlaw::kNone;
     d.kind = attempt == 1 ? DispositionKind::kPredicted
                           : DispositionKind::kPredictedAfterRetry;
-    d.predicted = cal.model->predict(a.signature);
     return d;
   }
 
   // Every attempt failed validation: do not predict. The production flow
   // routes this part to conventional per-spec test.
   d.kind = DispositionKind::kRoutedToConventional;
-  d.predicted.clear();
   STF_COUNT("guard.routed");
   return d;
 }

@@ -19,7 +19,9 @@
 // a production flow can act on. Every outcome is a typed TestDisposition;
 // the hot path never throws on bad data. Telemetry counters (guard.retries,
 // guard.escalations, guard.routed, guard.drift_alarms) expose the guard's
-// activity to the observability layer.
+// activity to the observability layer. This is the only copy of the retest
+// state machine: BatchRuntime runs it once per device, on a pinned
+// calibration, and batches only the predict step.
 //
 // The clean path is bit-compatible with the unguarded runtime: with no
 // faults and a capture that validates first try, test_device() consumes
@@ -103,15 +105,6 @@ struct TestDisposition {
   }
 };
 
-/// Outcome of one averaged-capture acquisition attempt (capture_attempt()).
-/// `signature` is meaningful only when `flaw == CaptureFlaw::kNone`; a flawed
-/// attempt stops at the offending capture, so `captures` may be < n_avg.
-struct CaptureAttempt {
-  Signature signature;
-  CaptureFlaw flaw = CaptureFlaw::kNone;
-  int captures = 0;
-};
-
 /// One golden-device drift check.
 struct DriftStatus {
   double score = 0.0;  ///< This check's outlier score.
@@ -156,10 +149,25 @@ class GuardedRuntime {
   /// Guarded production test of one device. `faults` (optional) simulates a
   /// degraded measurement chain; `sequence` is the device's lot position
   /// (drives slow-drift faults). Deterministic: same seed, same scenario,
-  /// same disposition, at any STF_THREADS.
+  /// same disposition, at any STF_THREADS. Pins the current calibration
+  /// version, runs the overload below, then predicts.
   TestDisposition test_device(const stf::rf::RfDut& dut, stf::stats::Rng& rng,
                               const stf::rf::FaultInjector* faults = nullptr,
                               std::uint64_t sequence = 0) const;
+
+  /// The guard state machine itself, on a caller-pinned calibration and up
+  /// to (not including) predict: capture, validate, retest with escalating
+  /// averaging, screen against `cal.screen`. The validated signature is
+  /// written to `signature` (length acquirer().signature_length()), whose
+  /// contents are meaningful only when the returned disposition
+  /// has_prediction(); `predicted` is left empty for the caller to fill.
+  /// Capture scratch lives in the calling thread's arena, so BatchRuntime
+  /// runs one call per device concurrently with no per-device heap use.
+  TestDisposition test_device(const stf::rf::RfDut& dut, stf::stats::Rng& rng,
+                              const CalibrationVersion& cal,
+                              std::span<double> signature,
+                              const stf::rf::FaultInjector* faults,
+                              std::uint64_t sequence) const;
 
   /// Measure a golden (known-good, stable) device and update the EWMA drift
   /// monitor. When the smoothed outlier score crosses
@@ -202,43 +210,6 @@ class GuardedRuntime {
   /// The current outlier screen (null before calibration).
   std::shared_ptr<const OutlierScreen> screen() const;
   const GuardPolicy& policy() const { return policy_; }
-
-  // Building blocks of test_device(), exposed so BatchRuntime can replay
-  // the exact per-device validation sequence (same rng draws, same
-  // counters) while batching the predict step across devices.
-
-  /// Acquire and average n_avg captures of one device, validating each in
-  /// the time domain before it contributes. Identical acquisition/fault/rng
-  /// sequence to one test_device() attempt.
-  CaptureAttempt capture_attempt(const stf::rf::RfDut& dut,
-                                 stf::stats::Rng& rng,
-                                 const stf::rf::FaultInjector* faults,
-                                 std::uint64_t sequence, int n_avg) const;
-
-  /// Signature-space validation: OutlierScreen score against the
-  /// calibration envelope. Writes the score to *score (if non-null) even
-  /// when rejecting; returns kNonFinite / kOutlier / kNone.
-  CaptureFlaw screen_signature(const Signature& signature,
-                               double* score) const;
-
-  /// Span variant of screen_signature() for signatures in caller-managed
-  /// (arena or matrix-row) storage; the Signature overload forwards here.
-  CaptureFlaw screen_signature(std::span<const double> signature,
-                               double* score) const;
-
-  /// Epoch-pinned variant: screens against an explicit snapshot's screen
-  /// instead of the current one, so a lot that started before a hot-swap
-  /// keeps validating against the version it started with (BatchRuntime).
-  CaptureFlaw screen_signature(const OutlierScreen& screen,
-                               std::span<const double> signature,
-                               double* score) const;
-
-  /// Time-domain validation: finiteness + railing. Returns kNone if clean.
-  CaptureFlaw inspect_capture(const std::vector<double>& capture) const;
-
-  /// Span variant of inspect_capture() for captures in caller-managed
-  /// (arena or matrix-row) storage; the vector overload forwards here.
-  CaptureFlaw inspect_capture(std::span<const double> capture) const;
 
  private:
   /// Reset drift state with cal_mutex_ already held (swap path).

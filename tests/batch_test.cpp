@@ -1,7 +1,8 @@
 // Unit tests for the batched test-cell runtime (sigtest/batch.hpp): the
 // determinism contract (batched dispositions bit-identical to the serial
 // guarded reference at 1 and 4 threads, clean and faulted), batch-size
-// invariance, first_sequence offsets, the ate flow overload that consumes
+// invariance at both thread counts, concurrent lots on the shared pool,
+// first_sequence offsets, the ate flow overload that consumes
 // lot dispositions, and empty-lot/degenerate handling.
 #include "sigtest/batch.hpp"
 
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "ate/flow.hpp"
@@ -43,7 +45,7 @@ class BatchRuntimeTest : public ::testing::Test {
     explicit World(std::size_t batch_size)
         : runtime(sigtest::SignatureTestConfig::simulation_study(),
                   stimulus(), circuit::LnaSpecs::names(), policy(),
-                  sigtest::BatchOptions{batch_size, 2}),
+                  sigtest::BatchOptions{batch_size}),
           lot(rf::make_lna_population(24, 0.2, 77)) {
       const auto cal = rf::make_lna_population(40, 0.2, 21);
       stats::Rng cal_rng(7);
@@ -131,32 +133,73 @@ TEST_F(BatchRuntimeTest, FaultedLotMatchesSerialReferenceAtEveryThreadCount) {
 }
 
 TEST_F(BatchRuntimeTest, BatchSizeDoesNotChangeDispositions) {
+  World& w = world();
+  const auto faults = rf::FaultInjector::parse("drop:0.01");
+  const auto reference = serial_reference(w, 9001, &faults);
+  // The lot must hold all three dispositions, so predict chunks carry
+  // routed gaps between validated rows and retested devices hold workers.
+  std::size_t kinds[3] = {0, 0, 0};
+  for (const auto& d : reference) ++kinds[static_cast<int>(d.kind)];
+  const std::size_t routed =
+      kinds[static_cast<int>(sigtest::DispositionKind::kRoutedToConventional)];
+  ASSERT_GT(kinds[static_cast<int>(sigtest::DispositionKind::kPredicted)], 0u);
+  ASSERT_GT(
+      kinds[static_cast<int>(sigtest::DispositionKind::kPredictedAfterRetry)],
+      0u);
+  ASSERT_GT(routed, 0u);
+  std::vector<const rf::RfDut*> duts;
+  for (const auto& rec : w.lot) duts.push_back(rec.dut.get());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadCountGuard guard(threads);
+    for (const std::size_t batch_size :
+         {std::size_t{1}, std::size_t{5}, std::size_t{16}, w.lot.size()}) {
+      const auto batched =
+          w.runtime.test_lot(duts, stats::Rng(9001), &faults, 0,
+                             sigtest::BatchOptions{batch_size});
+      SCOPED_TRACE(testing::Message() << "threads " << threads
+                                      << " batch_size " << batch_size);
+      expect_identical(reference, batched.dispositions);
+      EXPECT_EQ(batched.routed, routed);
+    }
+  }
+}
+
+TEST_F(BatchRuntimeTest, ConcurrentLotsShareThePoolAndStayBitIdentical) {
   ThreadCountGuard guard(4);
   World& w = world();
-  const auto faults = rf::FaultInjector::parse("clip:0.12");
-  const auto reference = serial_reference(w, 9001, &faults);
-  for (const std::size_t batch_size :
-       {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
-    sigtest::BatchRuntime runtime(
-        sigtest::SignatureTestConfig::simulation_study(), World::stimulus(),
-        circuit::LnaSpecs::names(), World::policy(),
-        sigtest::BatchOptions{batch_size, 2});
-    const auto cal = rf::make_lna_population(40, 0.2, 21);
-    stats::Rng cal_rng(7);
-    runtime.calibrate(cal, cal_rng);
-    const auto batched = runtime.test_lot(w.lot, stats::Rng(9001), &faults);
-    expect_identical(reference, batched.dispositions);
-  }
+  const auto faults = rf::FaultInjector::parse("clip:0.12,contact:0.05:0.05");
+  const auto clean_reference = serial_reference(w, 9001, nullptr);
+  const auto faulted_reference = serial_reference(w, 4242, &faults);
+  // Two callers dispatch onto the one persistent pool at once; the pool
+  // serializes them, and each lot must still complete bit-identically.
+  sigtest::LotResult clean, faulted;
+  std::thread other([&] {
+    faulted = w.runtime.test_lot(w.lot, stats::Rng(4242), &faults);
+  });
+  clean = w.runtime.test_lot(w.lot, stats::Rng(9001));
+  other.join();
+  expect_identical(clean_reference, clean.dispositions);
+  expect_identical(faulted_reference, faulted.dispositions);
 }
 
 TEST_F(BatchRuntimeTest, FirstSequenceOffsetsTheDerivedStreams) {
   ThreadCountGuard guard(4);
   World& w = world();
   constexpr std::uint64_t kOffset = 1000;
-  const auto reference = serial_reference(w, 9001, nullptr, kOffset);
+  // Gain drift scales each capture by its fault sequence number, so the
+  // offset must reach the faults as well as the rng streams.
+  const auto drift = rf::FaultInjector::parse("gain:1e-5");
+  const auto reference = serial_reference(w, 9001, &drift, kOffset);
   const auto batched =
-      w.runtime.test_lot(w.lot, stats::Rng(9001), nullptr, kOffset);
+      w.runtime.test_lot(w.lot, stats::Rng(9001), &drift, kOffset);
   expect_identical(reference, batched.dispositions);
+  const auto no_drift =
+      w.runtime.test_lot(w.lot, stats::Rng(9001), nullptr, kOffset);
+  std::size_t drifted = 0;
+  for (std::size_t i = 0; i < no_drift.dispositions.size(); ++i)
+    if (no_drift.dispositions[i].predicted != batched.dispositions[i].predicted)
+      ++drifted;
+  EXPECT_GT(drifted, 0u) << "the drift fault never changed a prediction";
   // And the offset lot must differ from the unoffset one somewhere, or the
   // parameter is dead.
   const auto base = w.runtime.test_lot(w.lot, stats::Rng(9001));
@@ -197,12 +240,7 @@ TEST_F(BatchRuntimeTest, RejectsInvalidOptionsAndUncalibratedUse) {
   EXPECT_THROW(sigtest::BatchRuntime(
                    sigtest::SignatureTestConfig::simulation_study(),
                    World::stimulus(), circuit::LnaSpecs::names(),
-                   World::policy(), sigtest::BatchOptions{0, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(sigtest::BatchRuntime(
-                   sigtest::SignatureTestConfig::simulation_study(),
-                   World::stimulus(), circuit::LnaSpecs::names(),
-                   World::policy(), sigtest::BatchOptions{4, 0}),
+                   World::policy(), sigtest::BatchOptions{0}),
                std::invalid_argument);
   sigtest::BatchRuntime uncalibrated(
       sigtest::SignatureTestConfig::simulation_study(), World::stimulus(),

@@ -1,34 +1,19 @@
-// Unit tests for the staged pipeline primitive (core/pipeline.hpp): bounded
-// queue FIFO/close/backpressure semantics, per-item stage ordering at 1 and
-// 4 threads, inline fallback inside parallel regions, deterministic
-// lowest-item exception propagation, and scheduling-independent results.
+// Unit tests for the bounded queue (core/pipeline.hpp): FIFO order, close
+// and drain semantics, backpressure, typed rejection after close, and the
+// never-blocking try_push.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
-
-#include "core/parallel.hpp"
 
 namespace {
 
 using stf::core::BoundedQueue;
-using stf::core::PipelineStage;
 using stf::core::PushResult;
-using stf::core::run_pipeline;
-
-/// Pin the pool width for one test and restore the environment-resolved
-/// default afterwards, so tests compose in any order.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(std::size_t n) { stf::core::set_thread_count(n); }
-  ~ThreadCountGuard() { stf::core::set_thread_count(0); }
-};
 
 TEST(BoundedQueue, DeliversItemsInFifoOrder) {
   BoundedQueue<int> q(8);
@@ -147,115 +132,6 @@ TEST(BoundedQueue, TryPushNeverBlocksAndTypesEveryOutcome) {
   EXPECT_EQ(q.try_push(3), PushResult::kAccepted);
   q.close();
   EXPECT_EQ(q.try_push(4), PushResult::kClosed);
-}
-
-TEST(Pipeline, EveryStageSeesEveryItemExactlyOnceInOrder) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ThreadCountGuard guard(threads);
-    constexpr std::size_t kItems = 64;
-    // progress[i] counts completed stages for item i; each stage asserts the
-    // item arrives having finished exactly the stages before it.
-    std::vector<std::atomic<int>> progress(kItems);
-    std::vector<PipelineStage> stages;
-    for (int s = 0; s < 3; ++s) {
-      stages.push_back({"pipeline_test.stage", 1, [&progress, s](std::size_t i) {
-                          const int seen = progress[i].fetch_add(1);
-                          ASSERT_EQ(seen, s) << "item " << i;
-                        }});
-    }
-    run_pipeline(kItems, stages, 4);
-    for (std::size_t i = 0; i < kItems; ++i)
-      EXPECT_EQ(progress[i].load(), 3) << "threads=" << threads;
-  }
-}
-
-TEST(Pipeline, ZeroItemsAndSingleStageAreNoOpsThatReturn) {
-  ThreadCountGuard guard(4);
-  std::atomic<int> calls{0};
-  run_pipeline(0, {{"pipeline_test.empty", 2,
-                    [&](std::size_t) { ++calls; }}});
-  EXPECT_EQ(calls.load(), 0);
-  run_pipeline(10, {{"pipeline_test.single", 2,
-                     [&](std::size_t) { ++calls; }}});
-  EXPECT_EQ(calls.load(), 10);
-}
-
-TEST(Pipeline, ResultsAreIdenticalAcrossThreadCounts) {
-  auto run = [](std::size_t threads) {
-    ThreadCountGuard guard(threads);
-    constexpr std::size_t kItems = 48;
-    std::vector<double> out(kItems, 0.0);
-    std::vector<PipelineStage> stages = {
-        {"pipeline_test.a", 2,
-         [&](std::size_t i) { out[i] = static_cast<double>(i) + 1.0; }},
-        {"pipeline_test.b", 1, [&](std::size_t i) { out[i] *= out[i]; }},
-        {"pipeline_test.c", 1, [&](std::size_t i) { out[i] -= 0.5; }},
-    };
-    run_pipeline(kItems, stages, 3);
-    return out;
-  };
-  const auto serial = run(1);
-  const auto threaded = run(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(serial[i], threaded[i]) << "item " << i;
-}
-
-TEST(Pipeline, RunsInlineInsideParallelRegion) {
-  ThreadCountGuard guard(4);
-  std::vector<std::atomic<int>> hits(8 * 4);
-  stf::core::parallel_for(0, 4, [&](std::size_t outer) {
-    run_pipeline(8, {{"pipeline_test.nested", 2, [&](std::size_t i) {
-                        EXPECT_TRUE(stf::core::in_parallel_region());
-                        ++hits[outer * 8 + i];
-                      }}});
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Pipeline, RethrowsLowestItemException) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ThreadCountGuard guard(threads);
-    try {
-      run_pipeline(32, {{"pipeline_test.throwing", 2, [](std::size_t i) {
-                           if (i % 5 == 2)  // items 2, 7, 12, ...
-                             throw std::runtime_error("item " +
-                                                      std::to_string(i));
-                         }}});
-      FAIL() << "expected std::runtime_error (threads=" << threads << ")";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "item 2") << "threads=" << threads;
-    }
-  }
-}
-
-TEST(Pipeline, ExceptionInLaterStageStillDrainsAndJoins) {
-  ThreadCountGuard guard(4);
-  std::atomic<int> stage0{0};
-  std::vector<PipelineStage> stages = {
-      {"pipeline_test.ok", 1, [&](std::size_t) { ++stage0; }},
-      {"pipeline_test.boom", 1,
-       [](std::size_t i) {
-         if (i == 0) throw std::logic_error("boom");
-       }},
-  };
-  EXPECT_THROW(run_pipeline(16, stages, 2), std::logic_error);
-  // Cancellation may skip work, but the run must have returned with all
-  // workers joined (reaching this line at all is the join assertion) and
-  // stage 0 must have run at least the throwing item's upstream pass.
-  EXPECT_GE(stage0.load(), 1);
-}
-
-TEST(Pipeline, RejectsInvalidStageConfigs) {
-  EXPECT_THROW(run_pipeline(4, {}), std::invalid_argument);
-  EXPECT_THROW(
-      run_pipeline(4, {{"pipeline_test.noworkers", 0, [](std::size_t) {}}}),
-      std::invalid_argument);
-  EXPECT_THROW(run_pipeline(4, {{"pipeline_test.nobody", 1, nullptr}}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      run_pipeline(4, {{"pipeline_test.zerocap", 1, [](std::size_t) {}}}, 0),
-      std::invalid_argument);
 }
 
 }  // namespace

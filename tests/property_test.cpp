@@ -198,14 +198,21 @@ TEST_P(Reciprocity, PassiveNetworkIsReciprocal) {
   stats::Rng rng(static_cast<std::uint64_t>(GetParam()));
   circuit::Netlist nl;
   const char* nodes[] = {"n1", "n2", "n3", "n4", "n5"};
+  // Appending (rather than "R" + std::to_string(i)) sidesteps a GCC 12
+  // -Wrestrict false positive that fails optimized -Werror builds.
+  const auto name = [](const char* prefix, int i) {
+    std::string s(prefix);
+    s += std::to_string(i);
+    return s;
+  };
   // Ladder resistors along the chain plus random shunt R/C.
   for (int i = 0; i < 4; ++i)
-    nl.add_resistor("R" + std::to_string(i), nodes[i], nodes[i + 1],
+    nl.add_resistor(name("R", i), nodes[i], nodes[i + 1],
                     rng.uniform(10.0, 10e3));
   for (int i = 0; i < 5; ++i) {
-    nl.add_resistor("RS" + std::to_string(i), nodes[i], "0",
+    nl.add_resistor(name("RS", i), nodes[i], "0",
                     rng.uniform(100.0, 100e3));
-    nl.add_capacitor("CS" + std::to_string(i), nodes[i], "0",
+    nl.add_capacitor(name("CS", i), nodes[i], "0",
                      rng.uniform(1e-12, 1e-9));
   }
   const auto dc = circuit::solve_dc(nl);

@@ -2,9 +2,11 @@
 // random population or noise realization baked into the benches, and the
 // guarded runtime must hold its contract under every tester fault class
 // (clean-path bit-identity, deterministic replay at any thread count,
-// strictly fewer escapes than the unguarded runtime, drift-alarm latching).
+// agreement with an independent replay of the retest policy, strictly
+// fewer escapes than the unguarded runtime, drift-alarm latching).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -192,6 +194,93 @@ TEST_F(GuardedFaults, FaultScenariosReplayBitIdentically) {
     }
     ++s;
   }
+}
+
+// The guard's retest policy replayed from public primitives (acquirer,
+// fault injector, outlier screen, model), independently of GuardedRuntime:
+// the serial and the batched runtime share one state machine, so their
+// equality cannot catch a bug inside it, and this replay can.
+sigtest::TestDisposition replay_guard(const sigtest::GuardedRuntime& g,
+                                      const rf::RfDut& dut, stats::Rng& rng,
+                                      const rf::FaultInjector* faults,
+                                      std::uint64_t sequence) {
+  const sigtest::SignatureAcquirer& acq = g.runtime().acquirer();
+  const sigtest::GuardPolicy& policy = g.policy();
+  const sigtest::CalibrationVersion cal = g.calibration();
+  std::vector<double> capture(acq.capture_length());
+  std::vector<double> one(acq.signature_length());
+  sigtest::TestDisposition d;
+  int n_avg = 1;
+  for (int attempt = 1; attempt <= policy.max_attempts; ++attempt) {
+    if (attempt > 1) n_avg *= policy.escalation_averages;
+    d.attempts = attempt;
+    std::vector<double> avg(one.size(), 0.0);
+    auto flaw = sigtest::CaptureFlaw::kNone;
+    for (int c = 0; c < n_avg && flaw == sigtest::CaptureFlaw::kNone; ++c) {
+      acq.raw_capture_into(dut, g.runtime().stimulus(), &rng, capture);
+      ++d.captures;
+      if (faults != nullptr)
+        faults->apply(capture, acq.config().digitizer.fs_hz, sequence, rng);
+      double peak = 0.0;
+      for (double v : capture) {
+        if (!std::isfinite(v)) flaw = sigtest::CaptureFlaw::kNonFinite;
+        peak = std::max(peak, std::abs(v));
+      }
+      if (flaw == sigtest::CaptureFlaw::kNone && peak > 0.0) {
+        const auto at_rail = std::count_if(
+            capture.begin(), capture.end(),
+            [&](double v) { return std::abs(v) >= peak * (1.0 - 1e-9); });
+        if (static_cast<double>(at_rail) >
+            policy.rail_fraction_limit * static_cast<double>(capture.size()))
+          flaw = sigtest::CaptureFlaw::kRailed;
+      }
+      if (flaw != sigtest::CaptureFlaw::kNone) break;
+      acq.signature_into(capture, one);
+      for (std::size_t j = 0; j < one.size(); ++j) avg[j] += one[j];
+    }
+    if (flaw == sigtest::CaptureFlaw::kNone) {
+      for (double& v : avg) v /= static_cast<double>(n_avg);
+      d.outlier_score = cal.screen->score(avg);
+      if (!std::isfinite(d.outlier_score))
+        flaw = sigtest::CaptureFlaw::kNonFinite;
+      else if (d.outlier_score > policy.outlier_threshold)
+        flaw = sigtest::CaptureFlaw::kOutlier;
+    }
+    d.last_flaw = flaw;
+    if (flaw != sigtest::CaptureFlaw::kNone) continue;
+    d.kind = attempt == 1 ? sigtest::DispositionKind::kPredicted
+                          : sigtest::DispositionKind::kPredictedAfterRetry;
+    d.predicted = cal.model->predict(avg);
+    return d;
+  }
+  d.kind = sigtest::DispositionKind::kRoutedToConventional;
+  return d;
+}
+
+TEST_F(GuardedFaults, StateMachineMatchesAnIndependentReplay) {
+  int retried = 0;
+  int s = 0;
+  for (const auto& faults : fault_scenarios()) {
+    const auto guarded = run_lot(&faults, 700 + s);
+    stats::Rng rng(700 + s);
+    for (std::size_t i = 0; i < lot_->size(); ++i) {
+      const auto r = replay_guard(*guarded_, *(*lot_)[i].dut, rng, &faults, i);
+      const auto& d = guarded[i];
+      EXPECT_EQ(d.kind, r.kind) << "scenario " << s << " device " << i;
+      EXPECT_EQ(d.attempts, r.attempts) << "scenario " << s << " device " << i;
+      EXPECT_EQ(d.captures, r.captures) << "scenario " << s << " device " << i;
+      EXPECT_EQ(d.last_flaw, r.last_flaw)
+          << "scenario " << s << " device " << i;
+      EXPECT_EQ(d.outlier_score, r.outlier_score)  // bitwise
+          << "scenario " << s << " device " << i;
+      EXPECT_EQ(d.predicted, r.predicted)  // bitwise
+          << "scenario " << s << " device " << i;
+      if (d.kind == sigtest::DispositionKind::kPredictedAfterRetry) ++retried;
+    }
+    ++s;
+  }
+  // Retries that validate are where the averaging state matters most.
+  EXPECT_GT(retried, 0);
 }
 
 // Retry counts and dispositions must not depend on STF_THREADS: the guard

@@ -4,8 +4,8 @@
 // in-process serial guarded reference for any client count, interleaving,
 // transport fault scenario, retry pattern and STF_THREADS setting -- plus
 // typed overload shedding, idempotent replay, bad-request rejection,
-// malformed-peer isolation, graceful drain, and the admission/scenario
-// units with a synthetic clock.
+// malformed-peer isolation, graceful drain, the start/stop lifecycle, and
+// the admission/scenario units with a synthetic clock.
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,7 +84,7 @@ class ServiceTest : public ::testing::Test {
         : runtime(std::make_shared<sigtest::BatchRuntime>(
               sigtest::SignatureTestConfig::simulation_study(), stimulus(),
               circuit::LnaSpecs::names(), policy(),
-              sigtest::BatchOptions{5, 2})),
+              sigtest::BatchOptions{5})),
           lot(rf::make_lna_population(kLotSize, 0.2, 77)) {
       const auto cal = rf::make_lna_population(40, 0.2, 21);
       stats::Rng cal_rng(7);
@@ -463,6 +464,27 @@ TEST_F(ServiceTest, GracefulStopDrainsAdmittedLotsWithoutLossOrDuplication) {
   EXPECT_EQ(server.lots_completed(), oks);
 }
 
+TEST_F(ServiceTest, StartStopDestroyAndSecondStartThrowInEveryBuildMode) {
+  {
+    service::SigtestServer server(world().runtime, fast_config());
+    server.start();
+    EXPECT_TRUE(server.running());
+    server.stop();
+    EXPECT_FALSE(server.running());
+  }  // destroyed after stop: no joinable thread may be left behind
+  service::SigtestServer server(world().runtime, fast_config());
+  server.start();
+  // Checked even when contracts are compiled out, and the failed call must
+  // not disturb the running server, which the destructor then drains.
+  EXPECT_THROW(server.start(), std::logic_error);
+  EXPECT_TRUE(server.running());
+  net::SigtestClient client(server.port(), quiet_client());
+  const auto served = client.run_lot(request_for(5, 9001));
+  ASSERT_EQ(served.status, net::ClientStatus::kOk) << served.message;
+  expect_identical(serial_reference(9001, nullptr), served.dispositions,
+                   "after second start");
+}
+
 TEST_F(ServiceTest, ServerConfigRoutesStfPortAndMaxClients) {
   {
     const EnvVarGuard port("STF_PORT", "45123");
@@ -605,7 +627,7 @@ TEST(ScenarioTest, PopulationCacheHitsReturnTheSamePopulation) {
 /// inputs and serial_reference() applies to it unchanged.
 service::RegistryOptions world_registry_options() {
   auto options = service::RegistryOptions::lna_defaults();
-  options.batch = sigtest::BatchOptions{5, 2};
+  options.batch = sigtest::BatchOptions{5};
   return options;
 }
 

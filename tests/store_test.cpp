@@ -351,7 +351,7 @@ struct RecalWorld {
     policy.outlier_threshold = 2.5;
     auto runtime = std::make_shared<sigtest::BatchRuntime>(
         config, stimulus(), circuit::LnaSpecs::names(), policy,
-        sigtest::BatchOptions{4, 2});
+        sigtest::BatchOptions{4});
     const auto cal = rf::make_lna_population(kCalDevices, 0.2, 21);
     stats::Rng rng(7);
     runtime->calibrate(cal, rng);

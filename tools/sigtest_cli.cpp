@@ -68,9 +68,9 @@ int usage() {
       "  --guard            test the lot with the guarded runtime (capture\n"
       "                     validation, retry/escalation, outlier routing)\n"
       "                     instead of trusting every prediction\n"
-      "  --batch N          with --guard: stream the lot through the batched\n"
-      "                     test-cell pipeline (acquire/screen/predict, N\n"
-      "                     devices per batch) and report devices/sec\n");
+      "  --batch N          with --guard: test the lot with the batched\n"
+      "                     test cell (per-device parallel guard, predict\n"
+      "                     N devices per batch) and report devices/sec\n");
   return 2;
 }
 
@@ -164,8 +164,8 @@ int run_faulted_lot(const bench::SimStudyResult& study,
 
   ate::FlowResult flow;
   if (guard && batch > 0) {
-    // Batched test-cell pipeline: same guard semantics, lot streamed through
-    // acquire -> screen -> predict with one regression GEMV per batch.
+    // Batched test cell: same guard semantics, devices spread over the
+    // worker pool, one regression GEMV per batch.
     sigtest::GuardPolicy policy;
     policy.outlier_threshold = 2.5;
     sigtest::BatchOptions bopts;
@@ -184,7 +184,7 @@ int run_faulted_lot(const bench::SimStudyResult& study,
     int retries = 0;
     for (const auto& d : result.dispositions) retries += d.attempts - 1;
     flow = ate::run_production_flow(truth, result.dispositions, limits, 0.25);
-    std::printf("  batched pipeline: batch size %d, %.0f devices/sec\n", batch,
+    std::printf("  batched test cell: batch size %d, %.0f devices/sec\n", batch,
                 sec > 0.0 ? static_cast<double>(result.devices()) / sec : 0.0);
     std::printf("  guard activity: %d retries, %zu routed to conventional,"
                 " %d retested\n",

@@ -44,6 +44,11 @@ Rule registry (see DESIGN.md "Static analysis contract" for how to add one):
                       <filesystem> headers) only in src/store/ -- the
                       CalibrationStore owns all persistence so atomic
                       writes and typed parse errors stay in one place
+    contract-side-effect
+                      no ++/--, assignment or mutating call (.exchange,
+                      .fetch_*, .store, push/pop/emplace/insert/erase/
+                      clear) inside STF_REQUIRE/STF_ENSURE/STF_ASSERT
+                      arguments -- unchecked builds compile them out
 
   Determinism contract (new):
     nondet-source     no std::random_device / time-of-day / wall-clock
@@ -547,6 +552,68 @@ def check_empty_catch(ctx: Context):
                     "empty 'catch (...)' outside src/core/; handle the "
                     "error, translate it, or let it propagate")
 
+
+CONTRACT_MACRO_RE = re.compile(r"\bSTF_(?:REQUIRE|ENSURE|ASSERT)\s*\(")
+# Contract arguments vanish in unchecked builds (SIGTEST_CHECKED=OFF), so a
+# mutation inside one changes what the program does between build modes.
+CONTRACT_SIDE_EFFECTS = [
+    (re.compile(r"\+\+|--"), "increment/decrement"),
+    (re.compile(r"(?<![=!<>+\-*/%&|^])=(?!=)|(?:[+\-*/%&|^]|<<|>>)="),
+     "assignment"),
+    (re.compile(r"(?:\.|->)\s*(exchange|fetch_\w+|store|push\w*|pop\w*"
+                r"|emplace\w*|insert|erase|clear)\s*\("),
+     "mutating call"),
+]
+CONTRACT_MAX_LINES = 12
+
+
+def contract_arguments(lines: list[str], idx: int, open_col: int) -> str:
+    """Text between the macro's '(' at lines[idx][open_col] and its match."""
+    depth = 0
+    out: list[str] = []
+    for j in range(idx, min(len(lines), idx + CONTRACT_MAX_LINES)):
+        segment = lines[j][open_col:] if j == idx else lines[j]
+        for ch in segment:
+            if ch == "(":
+                depth += 1
+                if depth == 1:
+                    continue
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    return "".join(out)
+            out.append(ch)
+        out.append(" ")
+    return "".join(out)
+
+
+@rule("contract-side-effect")
+def check_contract_side_effect(ctx: Context):
+    """No mutation inside STF_REQUIRE/STF_ENSURE/STF_ASSERT arguments.
+
+    Unchecked builds compile contract conditions out, so `++`, `--`, an
+    assignment or a mutating call (.exchange/.fetch_*/.store, push/pop/
+    emplace/insert/erase/clear) inside one silently disappears there: hoist
+    the side effect into its own statement and check its result.
+    """
+    for f in ctx.files:
+        for idx, code in enumerate(f.code_lines):
+            if code.lstrip().startswith("#"):
+                continue  # the macro definitions themselves
+            for m in CONTRACT_MACRO_RE.finditer(code):
+                args = contract_arguments(f.code_lines, idx, m.end() - 1)
+                for pattern, what in CONTRACT_SIDE_EFFECTS:
+                    hit = pattern.search(args)
+                    if hit is None:
+                        continue
+                    if not allowed(f, idx + 1, "contract-side-effect"):
+                        yield Finding(
+                            "contract-side-effect", f.rel, idx + 1,
+                            f"{what} '{hit.group(0).strip()}' inside a "
+                            "contract macro is compiled out when "
+                            "SIGTEST_CHECKED=OFF; hoist it into its own "
+                            "statement")
+                    break
 
 # ---------------------------------------------------------------------------
 # Determinism rules

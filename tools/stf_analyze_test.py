@@ -295,6 +295,35 @@ API_BODY_NO_CONTRACT = ("int frob(int x) {\n"
                         "}\n")
 
 
+def test_contract_side_effect_flags_mutation_inside_macro(tmp: Path) -> None:
+    body = (
+        "void Server::start() {\n"
+        "  STF_REQUIRE(!started_.exchange(true), \"started twice\");\n"
+        "}\n"
+        "void g(int& n, std::vector<int>& v) {\n"
+        "  STF_ASSERT(n++ < 4, \"n\");\n"
+        "  STF_ENSURE(v.size() > 0 &&\n"
+        "                 (n = 3) > 0, \"spans lines\");\n"
+        "}\n")
+    findings = hits(run(tmp, unit("service", "server", body)),
+                    "contract-side-effect")
+    assert [f.line for f in findings] == [4, 7, 8], \
+        [f.render() for f in findings]
+    assert "exchange" in findings[0].message, findings[0].message
+
+
+def test_contract_side_effect_ignores_comparisons(tmp: Path) -> None:
+    body = (
+        "void f(int a, int b, const std::vector<int>& v) {\n"
+        "  STF_REQUIRE(a == b && a <= b && a != b && a >= b, \"x = y++\");\n"
+        "  STF_ASSERT(v.size() >= 1 && p->n == 0, \"cmp\");\n"
+        "  started_.exchange(true);\n"
+        "}\n")
+    findings = run(tmp, unit("service", "server", body))
+    assert hits(findings, "contract-side-effect") == [], \
+        [f.render() for f in findings]
+
+
 def test_api_contract_missing_is_flagged(tmp: Path) -> None:
     files = unit("sigtest", "x", API_BODY_NO_CONTRACT,
                  header_extra="int frob(int x);\n")
