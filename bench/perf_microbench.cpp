@@ -6,9 +6,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "linalg/matrix.hpp"
 #include "rf/dut.hpp"
 #include "rf/faults.hpp"
+#include "rf/loadboard.hpp"
 #include "rf/population.hpp"
 #include "sigtest/acquisition.hpp"
 #include "sigtest/calibration.hpp"
@@ -157,6 +160,62 @@ void BM_SignatureAcquisition(benchmark::State& state) {
     benchmark::DoNotOptimize(acq.acquire(*ch.dut, stim, &rng));
 }
 BENCHMARK(BM_SignatureAcquisition);
+
+// The noise draws of one clean device: a fresh derive(i) stream (what the
+// lot loop hands each device), then 903 normal() draws -- 802 DUT envelope
+// draws at the simulation study's 401 samples plus 101 digitizer draws.
+void BM_RngNormalPerDevice(benchmark::State& state) {
+  const stats::Rng base(17);
+  std::uint64_t device = 0;
+  for (auto _ : state) {
+    stats::Rng rng = base.derive(device++);
+    double acc = 0.0;
+    for (int k = 0; k < 903; ++k) acc += rng.normal();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 903);
+}
+BENCHMARK(BM_RngNormalPerDevice);
+
+// The load board alone (up mixer, noisy DUT, down mixer, LPF) on one
+// rendered stimulus at the simulation study's 401 samples.
+void BM_LoadBoardRun(benchmark::State& state) {
+  const auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  const rf::LoadBoard board(cfg.board, cfg.fs_sim_hz);
+  const auto ch = rf::extract_lna_dut(circuit::Lna900::nominal());
+  const auto stim = dsp::PwlWaveform::uniform(
+      cfg.capture_s, {0.0, 0.2, -0.2, 0.1, -0.1, 0.25, -0.25, 0.0});
+  const std::vector<double> rendered = stim.render(cfg.fs_sim_hz, 401);
+  std::vector<double> out(rendered.size());
+  stats::Rng rng(19);
+  for (auto _ : state) {
+    board.run_into(rendered, cfg.fs_sim_hz, *ch.dut, &rng, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LoadBoardRun);
+
+// One real channel through the board's 5th-order Butterworth LPF (three
+// sections) at the simulation study's rate and length: the in-place
+// single-channel path the board runs once per capture.
+void BM_BiquadCascadeReal(benchmark::State& state) {
+  const auto cfg = sigtest::SignatureTestConfig::simulation_study();
+  const auto cascade = dsp::butterworth_lowpass(
+      cfg.board.lpf_order, cfg.board.lpf_cutoff_hz, cfg.fs_sim_hz);
+  stats::Rng rng(23);
+  const std::vector<double> x = rng.normal_vector(401);
+  std::vector<double> work(x.size());
+  for (auto _ : state) {
+    std::copy(x.begin(), x.end(), work.begin());
+    cascade.filter_inplace(std::span<double>(work));
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_BiquadCascadeReal);
 
 // Butterworth cascade over interleaved channels: the SIMD biquad kernel's
 // home turf. Arg is the channel count -- 1 is the scalar recurrence floor,

@@ -1,5 +1,6 @@
 #include "dsp/iir.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -25,21 +26,46 @@ BiquadCascade::BiquadCascade(std::vector<Biquad> sections)
 
 namespace {
 
-// Direct form II transposed, one-shot over the whole buffer. This is the
-// scalar reference the vector kernel must reproduce bit for bit: every
-// per-sample operation below appears in the same order in the lane code.
-template <class T>
-void run_cascade_inplace(const std::vector<Biquad>& sections, T* x,
-                         std::size_t n) {
-  for (const Biquad& s : sections) {
-    T z1{}, z2{};
-    for (std::size_t i = 0; i < n; ++i) {
-      const T in = x[i];
-      const T out = s.b0 * in + z1;
-      z1 = s.b1 * in - s.a1 * out + z2;
-      z2 = s.b2 * in - s.a2 * out;
-      x[i] = out;
+// Direct form II transposed, one-shot over a real buffer: samples outside,
+// sections inside. Each section is an independent recurrence on its input
+// stream, so running K of them per sample (states in registers) lets their
+// latency chains overlap instead of paying each one's full chain in turn,
+// while every section does exactly the operations of a section-at-a-time
+// cascade, in the same order. The interleaved kernels below give each of
+// their channels this same result, bit for bit.
+template <std::size_t K>
+void cascade_pass(const Biquad* s, double* x, std::size_t n) {
+  double z1[K] = {};
+  double z2[K] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = x[i];
+    for (std::size_t k = 0; k < K; ++k) {
+      const double in = v;
+      const double out = s[k].b0 * in + z1[k];
+      z1[k] = s[k].b1 * in - s[k].a1 * out + z2[k];
+      z2[k] = s[k].b2 * in - s[k].a2 * out;
+      v = out;
     }
+    x[i] = v;
+  }
+}
+
+// One pass per group of up to four sections (one pass in total for every
+// order up to 8); a group's output is the next group's input, exactly as
+// in a section-at-a-time cascade.
+void run_cascade_inplace(const std::vector<Biquad>& sections, double* x,
+                         std::size_t n) {
+  const Biquad* s = sections.data();
+  for (std::size_t left = sections.size(); left != 0;) {
+    const std::size_t k = std::min<std::size_t>(left, 4);
+    switch (k) {
+      case 1: cascade_pass<1>(s, x, n); break;
+      case 2: cascade_pass<2>(s, x, n); break;
+      case 3: cascade_pass<3>(s, x, n); break;
+      default: cascade_pass<4>(s, x, n); break;
+    }
+    s += k;
+    left -= k;
   }
 }
 

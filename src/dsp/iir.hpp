@@ -38,8 +38,9 @@ class BiquadCascade {
 
   /// In-place one-shot filter of a real signal. A single real channel is a
   /// loop-carried recurrence (every output feeds the next sample through
-  /// z1/z2), so this path is inherently scalar; it exists for the
-  /// allocation-free hot path, not for lanes.
+  /// z1/z2), so this path is scalar; it makes one pass over the samples
+  /// with the sections' states in registers, so the sections' independent
+  /// recurrences overlap. Bit-identical to filtering section by section.
   void filter_inplace(std::span<double> x) const;
 
   /// In-place filter of a complex envelope. I and Q are independent real

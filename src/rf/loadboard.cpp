@@ -18,11 +18,19 @@ void MixerModel::apply(EnvelopeSignal& s) const {
   apply(std::span<Cplx>(s.x));
 }
 
-void MixerModel::apply(std::span<Cplx> x) const {
-  const double g = std::pow(10.0, conversion_gain_db / 20.0);
+MixerModel::Coefficients MixerModel::coefficients() const {
   const double a_ip3 = iip3_dbm_to_source_amplitude(iip3_dbm);
   STF_REQUIRE(a_ip3 > 0.0, "MixerModel::apply: IP3 amplitude must be > 0");
-  const double inv_a2 = 1.0 / (a_ip3 * a_ip3);
+  return {std::pow(10.0, conversion_gain_db / 20.0), 1.0 / (a_ip3 * a_ip3)};
+}
+
+void MixerModel::apply(std::span<Cplx> x) const { apply(x, coefficients()); }
+
+// Any coefficients are valid (coefficients() checks the rating).
+// stf-analyze: allow(api-contract)
+void MixerModel::apply(std::span<Cplx> x, const Coefficients& c) {
+  const double g = c.gain;
+  const double inv_a2 = c.inv_a2;
   // Saturating AM/AM with the same third-order expansion as the classic
   // cubic (see BehavioralLna). The gain is real, so both quadratures scale
   // by g / sqrt(1 + 2|v|^2/A^2): lanes hold interleaved (re, im) pairs and
@@ -53,7 +61,10 @@ void MixerModel::apply(std::span<Cplx> x) const {
 }
 
 LoadBoard::LoadBoard(const LoadBoardConfig& config, double planned_fs_hz)
-    : config_(config), planned_fs_hz_(planned_fs_hz) {
+    : config_(config),
+      up_(config.up_mixer.coefficients()),
+      down_(config.down_mixer.coefficients()),
+      planned_fs_hz_(planned_fs_hz) {
   STF_REQUIRE(config_.lpf_cutoff_hz > 0.0,
               "LoadBoard: lpf_cutoff_hz must be > 0");
   STF_REQUIRE(config_.lpf_order != 0, "LoadBoard: lpf_order must be > 0");
@@ -109,33 +120,51 @@ std::vector<double> LoadBoard::run(const std::vector<double>& stimulus,
 void LoadBoard::run_into(std::span<const double> stimulus, double fs_sim,
                          const RfDut& dut, stf::stats::Rng* rng,
                          std::span<double> out) const {
-  STF_REQUIRE(!stimulus.empty(), "LoadBoard::run: empty stimulus");
-  STF_REQUIRE(fs_sim > 2.0 * config_.lpf_cutoff_hz,
-              "LoadBoard::run: fs_sim must exceed twice the LPF cutoff");
-  STF_REQUIRE(out.size() == stimulus.size(),
-              "LoadBoard::run_into: out length must match the stimulus");
-  const std::size_t n = stimulus.size();
-
-  // One envelope buffer from the per-thread arena carries the signal
-  // through every board stage in place; the scope rewinds it on exit.
   stf::core::Arena& arena = stf::core::capture_arena();
   const stf::core::ArenaScope scope(arena);
-  stf::core::ArenaVector<Cplx> env(n, Cplx{},
+  stf::core::ArenaVector<Cplx> env(stimulus.size(), Cplx{},
                                    stf::core::ArenaAllocator<Cplx>(&arena));
-  const std::span<Cplx> env_span(env.data(), n);
+  upconvert_into(stimulus, {env.data(), env.size()});
+  run_upconverted_into({env.data(), env.size()}, fs_sim, dut, rng, out);
+}
 
+void LoadBoard::upconvert_into(std::span<const double> stimulus,
+                               std::span<Cplx> env) const {
+  STF_TRACE_SPAN("board.upconvert");
+  STF_REQUIRE(!stimulus.empty(), "LoadBoard::run: empty stimulus");
+  STF_REQUIRE(env.size() == stimulus.size(),
+              "LoadBoard::upconvert_into: env length must match the "
+              "stimulus");
   // Mixer 1: x_t(t) * sin(w1 t) -- in envelope terms the stimulus *is* the
   // envelope at the carrier; the mixer contributes gain/compression.
-  for (std::size_t i = 0; i < n; ++i) env[i] = Cplx(stimulus[i], 0.0);
-  {
-    STF_TRACE_SPAN("board.upconvert");
-    config_.up_mixer.apply(env_span);
-  }
+  for (std::size_t i = 0; i < stimulus.size(); ++i)
+    env[i] = Cplx(stimulus[i], 0.0);
+  MixerModel::apply(env, up_);
+}
 
-  // The device under test (in place: the models are memoryless).
+void LoadBoard::run_upconverted_into(std::span<const Cplx> upconverted,
+                                     double fs_sim, const RfDut& dut,
+                                     stf::stats::Rng* rng,
+                                     std::span<double> out) const {
+  STF_REQUIRE(!upconverted.empty(), "LoadBoard::run: empty stimulus");
+  STF_REQUIRE(fs_sim > 2.0 * config_.lpf_cutoff_hz,
+              "LoadBoard::run: fs_sim must exceed twice the LPF cutoff");
+  STF_REQUIRE(out.size() == upconverted.size(),
+              "LoadBoard::run_into: out length must match the stimulus");
+  const std::size_t n = upconverted.size();
+
+  // One envelope buffer from the per-thread arena carries the signal from
+  // the DUT through mixer 2; the scope rewinds it on exit.
+  stf::core::Arena& arena = stf::core::capture_arena();
+  const stf::core::ArenaScope scope(arena);
+  stf::core::ArenaVector<Cplx> env_buf(
+      n, Cplx{}, stf::core::ArenaAllocator<Cplx>(&arena));
+  const std::span<Cplx> env(env_buf.data(), n);
+
+  // The device under test (the models are memoryless).
   {
     STF_TRACE_SPAN("board.dut");
-    dut.process_into(env_span, fs_sim, rng, env_span);
+    dut.process_into(upconverted, fs_sim, rng, env);
   }
 
   // Mixer 2 at f2 = f1 - lo_offset with path phase phi: the real product
@@ -144,7 +173,7 @@ void LoadBoard::run_into(std::span<const double> stimulus, double fs_sim,
   // DC offset from LO self-mixing appears at the demodulator output.
   {
     STF_TRACE_SPAN("board.downconvert");
-    config_.down_mixer.apply(env_span);
+    MixerModel::apply(env, down_);
     const double dphi =
         2.0 * std::numbers::pi * config_.lo_offset_hz / fs_sim;
     const auto& rot = rotation_table(n, dphi, config_.path_phase_rad);

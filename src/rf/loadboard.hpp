@@ -30,12 +30,23 @@ struct MixerModel {
   double iip3_dbm = 20.0;            ///< Input IP3 (50-ohm convention).
   double lo_feedthrough_v = 0.0;     ///< DC offset from LO self-mixing.
 
+  /// The two constants apply() derives from the rating: the linear
+  /// conversion gain and 1 / A_ip3^2.
+  struct Coefficients {
+    double gain = 1.0;
+    double inv_a2 = 0.0;
+  };
+  Coefficients coefficients() const;
+
   /// Apply gain + cubic compression to an envelope in place.
   void apply(EnvelopeSignal& s) const;
 
   /// Span variant of apply() for envelopes in caller-managed storage;
   /// vectorized across samples, bit-identical to the scalar reference.
   void apply(std::span<Cplx> x) const;
+
+  /// apply() with coefficients() evaluated once up front (bit-identical).
+  static void apply(std::span<Cplx> x, const Coefficients& c);
 };
 
 /// Signature-path configuration (paper Section 4.1 defaults).
@@ -73,15 +84,32 @@ class LoadBoard {
   /// envelopes come from the per-thread capture arena and the beat-rotation
   /// table is cached per thread, so steady-state calls at the planned rate
   /// touch the heap zero times. run() forwards here, so both entry points
-  /// produce bit-identical samples.
+  /// produce bit-identical samples. Equivalent to upconvert_into() followed
+  /// by run_upconverted_into().
   void run_into(std::span<const double> stimulus, double fs_sim,
                 const RfDut& dut, stf::stats::Rng* rng,
                 std::span<double> out) const;
+
+  /// Mixer 1 alone: the up-mixed envelope of a rendered baseband stimulus
+  /// (env.size() == stimulus.size()). It depends only on the stimulus and
+  /// the up mixer, so a caller that replays one stimulus across a lot
+  /// computes it once (SignatureAcquirer caches it per stimulus).
+  void upconvert_into(std::span<const double> stimulus,
+                      std::span<Cplx> env) const;
+
+  /// The per-device rest of the board, from an up-mixed envelope:
+  /// DUT -> mixer 2 -> LPF into `out` (same length). Bit-identical to
+  /// run_into() on the stimulus the envelope was up-mixed from.
+  void run_upconverted_into(std::span<const Cplx> upconverted, double fs_sim,
+                            const RfDut& dut, stf::stats::Rng* rng,
+                            std::span<double> out) const;
 
   const LoadBoardConfig& config() const { return config_; }
 
  private:
   LoadBoardConfig config_;
+  MixerModel::Coefficients up_;    ///< config_.up_mixer.coefficients()
+  MixerModel::Coefficients down_;  ///< config_.down_mixer.coefficients()
   double planned_fs_hz_ = 0.0;
   std::optional<stf::dsp::BiquadCascade> planned_lpf_;
 };

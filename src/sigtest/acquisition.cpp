@@ -68,7 +68,7 @@ SignatureAcquirer& SignatureAcquirer::operator=(
   max_bins_ = other.max_bins_;
   board_ = other.board_;
   std::vector<stf::dsp::PwlPoint> key;
-  std::shared_ptr<const std::vector<double>> cache;
+  std::shared_ptr<const std::vector<stf::rf::Cplx>> cache;
   {
     const stf::core::LockGuard lock(other.render_mutex_);
     key = other.render_key_;
@@ -87,9 +87,9 @@ std::size_t SignatureAcquirer::capture_length() const {
   return config_.digitizer.capture_length(n_sim, config_.fs_sim_hz);
 }
 
-std::shared_ptr<const std::vector<double>>
-SignatureAcquirer::rendered_stimulus(const stf::dsp::PwlWaveform& stimulus,
-                                     std::size_t n_sim) const {
+std::shared_ptr<const std::vector<stf::rf::Cplx>>
+SignatureAcquirer::upconverted_stimulus(const stf::dsp::PwlWaveform& stimulus,
+                                        std::size_t n_sim) const {
   STF_REQUIRE(n_sim != 0, "SignatureAcquirer: n_sim must be > 0");
   const std::vector<stf::dsp::PwlPoint>& pts = stimulus.points();
   const stf::core::LockGuard lock(render_mutex_);
@@ -98,9 +98,12 @@ SignatureAcquirer::rendered_stimulus(const stf::dsp::PwlWaveform& stimulus,
   for (std::size_t i = 0; hit && i < pts.size(); ++i)
     hit = render_key_[i].t == pts[i].t && render_key_[i].v == pts[i].v;
   if (!hit) {
+    const std::vector<double> rendered =
+        stimulus.render(config_.fs_sim_hz, n_sim);
+    auto env = std::make_shared<std::vector<stf::rf::Cplx>>(n_sim);
+    board_.upconvert_into(rendered, *env);
     render_key_ = pts;
-    render_cache_ = std::make_shared<const std::vector<double>>(
-        stimulus.render(config_.fs_sim_hz, n_sim));
+    render_cache_ = std::move(env);
   }
   return render_cache_;
 }
@@ -126,17 +129,17 @@ void SignatureAcquirer::raw_capture_into(const stf::rf::RfDut& dut,
   const auto n_sim = static_cast<std::size_t>(
                          std::floor(config_.capture_s * config_.fs_sim_hz)) +
                      1;
-  std::shared_ptr<const std::vector<double>> rendered;
+  std::shared_ptr<const std::vector<stf::rf::Cplx>> upconverted;
   {
     STF_TRACE_SPAN("acq.render");
-    rendered = rendered_stimulus(stimulus, n_sim);
+    upconverted = upconverted_stimulus(stimulus, n_sim);
   }
   stf::core::Arena& arena = stf::core::capture_arena();
   const stf::core::ArenaScope scope(arena);
   stf::core::ArenaVector<double> analog(
-      rendered->size(), 0.0, stf::core::ArenaAllocator<double>(&arena));
-  board_.run_into(*rendered, config_.fs_sim_hz, dut, rng,
-                  {analog.data(), analog.size()});
+      n_sim, 0.0, stf::core::ArenaAllocator<double>(&arena));
+  board_.run_upconverted_into(*upconverted, config_.fs_sim_hz, dut, rng,
+                              {analog.data(), analog.size()});
   STF_TRACE_SPAN("acq.digitize");
   config_.digitizer.capture_into({analog.data(), analog.size()},
                                  config_.fs_sim_hz, rng, out);

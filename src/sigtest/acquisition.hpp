@@ -37,7 +37,7 @@ class SignatureAcquirer {
                              std::size_t max_bins = 64);
 
   /// Copyable (the guarded runtimes are copied in tests): the render-cache
-  /// mutex is per-instance and never copied; the cached rendered stimulus
+  /// mutex is per-instance and never copied; the cached up-mixed stimulus
   /// is immutable and shared with the source.
   SignatureAcquirer(const SignatureAcquirer& other);
   SignatureAcquirer& operator=(const SignatureAcquirer& other);
@@ -64,7 +64,7 @@ class SignatureAcquirer {
                                   stf::stats::Rng* rng) const;
 
   /// Allocation-free raw_capture into caller storage (out.size() must be
-  /// capture_length()). The rendered stimulus is cached across calls and
+  /// capture_length()). The up-mixed stimulus is cached across calls and
   /// all intermediate buffers come from the per-thread capture arena, so
   /// steady-state acquisitions allocate nothing on the heap.
   void raw_capture_into(const stf::rf::RfDut& dut,
@@ -101,10 +101,12 @@ class SignatureAcquirer {
   /// Signature length signature_into() produces for an n_capture-sample
   /// capture (pool_bins ceil-division semantics).
   std::size_t signature_length_for(std::size_t n_capture) const;
-  /// The rendered stimulus, cached: production tests replay one waveform
-  /// across the whole lot, so rendering is hoisted out of the per-device
-  /// path. Thread-safe; the returned buffer is immutable and shared.
-  std::shared_ptr<const std::vector<double>> rendered_stimulus(
+  /// The rendered stimulus after the board's up mixer, cached: production
+  /// tests replay one waveform across the whole lot, and neither rendering
+  /// nor upconversion depends on the device, so both are hoisted out of the
+  /// per-device path. Thread-safe; the returned buffer is immutable and
+  /// shared.
+  std::shared_ptr<const std::vector<stf::rf::Cplx>> upconverted_stimulus(
       const stf::dsp::PwlWaveform& stimulus, std::size_t n_sim) const;
 
   SignatureTestConfig config_;
@@ -113,7 +115,7 @@ class SignatureAcquirer {
   mutable stf::core::Mutex render_mutex_;
   mutable std::vector<stf::dsp::PwlPoint> render_key_
       STF_GUARDED_BY(render_mutex_);
-  mutable std::shared_ptr<const std::vector<double>> render_cache_
+  mutable std::shared_ptr<const std::vector<stf::rf::Cplx>> render_cache_
       STF_GUARDED_BY(render_mutex_);
 };
 

@@ -237,6 +237,37 @@ TEST(LoadBoard, InvalidRunArgumentsThrow) {
                std::invalid_argument);  // fs below 2x LPF cutoff
 }
 
+TEST(LoadBoard, UpconvertedRunMatchesFullRun) {
+  // The acquirer up-mixes its stimulus once and starts every device from
+  // that envelope; a noisy, compressing DUT must see exactly the samples
+  // and noise draws of the full run. The second board has no planned LPF,
+  // which covers the on-the-fly design as well.
+  LoadBoardConfig cfg;
+  cfg.up_mixer.iip3_dbm = 5.0;  // compression in both mixers
+  cfg.down_mixer.iip3_dbm = 8.0;
+  cfg.down_mixer.lo_feedthrough_v = 2e-3;
+  cfg.path_phase_rad = 0.7;
+  const double fs = 80e6;
+  const auto dut = extract_lna_dut(stf::circuit::Lna900::nominal()).dut;
+  std::vector<double> stim(401);
+  for (std::size_t i = 0; i < stim.size(); ++i)
+    stim[i] = 0.3 * std::sin(2.0 * std::numbers::pi * 1.5e6 *
+                             static_cast<double>(i) / fs);
+  for (const double planned : {fs, 0.0}) {
+    const LoadBoard board(cfg, planned);
+    stf::stats::Rng a(31);
+    stf::stats::Rng b(31);
+    const std::vector<double> full = board.run(stim, fs, *dut, &a);
+    std::vector<Cplx> env(stim.size());
+    board.upconvert_into(stim, env);
+    std::vector<double> split(stim.size());
+    board.run_upconverted_into(env, fs, *dut, &b, split);
+    for (std::size_t i = 0; i < full.size(); ++i)
+      ASSERT_EQ(full[i], split[i]) << "planned " << planned << " i " << i;
+    EXPECT_EQ(a.normal(), b.normal());  // same number of draws consumed
+  }
+}
+
 // ---------------------------------------------------------------- digitizer --
 
 TEST(Digitizer, ResamplesToCaptureRate) {

@@ -55,6 +55,12 @@ Rule registry (see DESIGN.md "Static analysis contract" for how to add one):
                       sources outside src/core/telemetry -- every random or
                       temporal input must be a seeded Rng stream or an
                       explicit parameter, or replay breaks
+    rng-engine-confinement
+                      no std::mt19937*, std::random_device or
+                      std::default_random_engine in src/ outside
+                      src/stats/rng.* -- stats::Rng owns the one engine, so
+                      every stream is seeded, derivable and pinned by the
+                      golden-stream tests
     pointer-order     no pointer-keyed ordered containers, pointer
                       comparators or pointer hashing -- pointer values vary
                       run to run, so any order or hash derived from them is
@@ -651,6 +657,33 @@ def check_nondet_sources(ctx: Context):
                     f"nondeterministic source {m.group(0).strip()} outside "
                     "src/core/telemetry; derive randomness from "
                     "stf::stats::Rng and take time as a parameter")
+
+
+RNG_ENGINE_RE = re.compile(
+    r"std\s*::\s*(?:mt19937\w*|random_device|default_random_engine)\b")
+
+
+@rule("rng-engine-confinement")
+def check_rng_engine_confinement(ctx: Context):
+    """Random engines are constructed only inside src/stats/rng.*.
+
+    stats::Rng wraps the repo's own MT19937-64 and its ziggurat, whose
+    streams the golden-stream tests pin word for word. A library engine
+    anywhere else is a second source of randomness the seed discipline
+    (derive(i) per index, one seed per lot) cannot see, and a
+    default_random_engine or random_device differs between standard
+    libraries or runs outright.
+    """
+    for f in ctx.files:
+        if f.in_dir("stats") and f.path.stem == "rng":
+            continue
+        for idx, code in enumerate(f.code_lines):
+            m = RNG_ENGINE_RE.search(code)
+            if m and not allowed(f, idx + 1, "rng-engine-confinement"):
+                yield Finding(
+                    "rng-engine-confinement", f.rel, idx + 1,
+                    f"random engine {m.group(0).strip()} outside "
+                    "src/stats/rng.*; draw from a stf::stats::Rng stream")
 
 
 POINTER_ORDER_RE = re.compile(

@@ -219,6 +219,29 @@ def test_nondet_source_telemetry_clock_is_exempt(tmp: Path) -> None:
     assert len(hits(findings, "nondet-source")) == 1, findings
 
 
+def test_rng_engine_confinement_flags_library_engines(tmp: Path) -> None:
+    body = ("std::mt19937_64 eng_;\n"
+            "std::mt19937 small_;\n"
+            "std::default_random_engine d_;\n"
+            "std::uint64_t seed() { return std::random_device{}(); }\n")
+    findings = run(tmp, unit("sigtest", "x", body))
+    assert len(hits(findings, "rng-engine-confinement")) == 4, findings
+
+
+def test_rng_engine_confinement_exempts_rng_and_lookalikes(tmp: Path) -> None:
+    engine = "std::mt19937_64 reference_;\n"
+    findings = run(tmp / "a", unit("stats", "rng", engine))
+    assert hits(findings, "rng-engine-confinement") == [], findings
+    findings = run(tmp / "b", unit("stats", "sampling", engine))
+    assert len(hits(findings, "rng-engine-confinement")) == 1, findings
+    # Comments, strings and unrelated names are not engines.
+    body = ("// std::mt19937_64 in a comment\n"
+            "const char* k = \"std::random_device\";\n"
+            "stf::stats::Mt19937_64 ok_;\n")
+    findings = run(tmp / "c", unit("sigtest", "y", body))
+    assert hits(findings, "rng-engine-confinement") == [], findings
+
+
 def test_pointer_order_keyed_container(tmp: Path) -> None:
     findings = run(tmp / "a", unit("sigtest", "x",
                                    "std::set<Device*> live_;\n"))
