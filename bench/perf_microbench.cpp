@@ -283,10 +283,10 @@ void BM_CalibrationPredict(benchmark::State& state) {
 BENCHMARK(BM_CalibrationPredict);
 
 // One full capture+signature per iteration, both memory disciplines. Arg 0
-// is the legacy heap path (raw_capture -> signature_from_capture, fresh
-// vectors per part); Arg 1 is the production path (raw_capture_into ->
-// signature_into against caller storage, internal scratch on the capture
-// arena). The published mem.* counters prove the arena path stays off the
+// is the heap discipline (fresh capture and signature vectors allocated
+// per part, then raw_capture_into -> signature_into); Arg 1 is the
+// production path (the same calls against caller storage reused across
+// parts, internal scratch on the capture arena). The published mem.* counters prove the arena path stays off the
 // heap; the time ratio is what that discipline is worth per part.
 void BM_ArenaVsHeapCapture(benchmark::State& state) {
   const auto cfg = sigtest::SignatureTestConfig::simulation_study();
@@ -306,8 +306,11 @@ void BM_ArenaVsHeapCapture(benchmark::State& state) {
       acq.signature_into(capture, sig);
       benchmark::DoNotOptimize(sig.data());
     } else {
-      const auto heap_capture = acq.raw_capture(*ch.dut, stim, &rng);
-      benchmark::DoNotOptimize(acq.signature_from_capture(heap_capture));
+      std::vector<double> heap_capture(acq.capture_length());
+      acq.raw_capture_into(*ch.dut, stim, &rng, heap_capture);
+      sigtest::Signature heap_sig(acq.signature_length());
+      acq.signature_into(heap_capture, heap_sig);
+      benchmark::DoNotOptimize(heap_sig.data());
     }
     benchmark::ClobberMemory();
   }

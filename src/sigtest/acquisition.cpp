@@ -1,5 +1,6 @@
 #include "sigtest/acquisition.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -108,16 +109,6 @@ SignatureAcquirer::upconverted_stimulus(const stf::dsp::PwlWaveform& stimulus,
   return render_cache_;
 }
 
-// The ctor validates config_; a null rng selects the noiseless path.
-// stf-analyze: allow(api-contract)
-std::vector<double> SignatureAcquirer::raw_capture(
-    const stf::rf::RfDut& dut, const stf::dsp::PwlWaveform& stimulus,
-    stf::stats::Rng* rng) const {
-  std::vector<double> capture(capture_length());
-  raw_capture_into(dut, stimulus, rng, capture);
-  return capture;
-}
-
 void SignatureAcquirer::raw_capture_into(const stf::rf::RfDut& dut,
                                          const stf::dsp::PwlWaveform& stimulus,
                                          stf::stats::Rng* rng,
@@ -147,40 +138,49 @@ void SignatureAcquirer::raw_capture_into(const stf::rf::RfDut& dut,
 
 namespace {
 
-// Group-average `bins` down to out.size() entries (ceil-division groups of
-// size derived from max_bins, exactly the historical pool_bins semantics).
+// Size of the groups pool_bins_into averages n bins in (ceil division, the
+// historical pool_bins semantics); 1 when no pooling is needed.
+std::size_t pool_group(std::size_t n, std::size_t max_bins) {
+  return n <= max_bins ? 1 : (n + max_bins - 1) / max_bins;
+}
+
+// Output count pool_bins_into produces for n input bins.
+std::size_t pooled_count(std::size_t n, std::size_t max_bins) {
+  const std::size_t group = pool_group(n, max_bins);
+  return (n + group - 1) / group;
+}
+
+// Group-average `bins` down to out.size() == pooled_count(bins.size(),
+// max_bins) entries.
 void pool_bins_into(std::span<const double> bins, std::size_t max_bins,
                     std::span<double> out) {
-  if (bins.size() <= max_bins) {
-    STF_ASSERT(out.size() == bins.size(), "pool_bins_into: length mismatch");
-    for (std::size_t i = 0; i < bins.size(); ++i) out[i] = bins[i];
+  STF_ASSERT(out.size() == pooled_count(bins.size(), max_bins),
+             "pool_bins_into: length mismatch");
+  const std::size_t group = pool_group(bins.size(), max_bins);
+  if (group == 1) {
+    std::copy(bins.begin(), bins.end(), out.begin());
     return;
   }
-  const std::size_t group =
-      (bins.size() + max_bins - 1) / max_bins;  // ceil division
   std::size_t o = 0;
   for (std::size_t i = 0; i < bins.size(); i += group) {
     const std::size_t end = std::min(i + group, bins.size());
     double acc = 0.0;
     for (std::size_t j = i; j < end; ++j) acc += bins[j];
-    STF_ASSERT(o < out.size(), "pool_bins_into: length mismatch");
     out[o++] = acc / static_cast<double>(end - i);
   }
-  STF_ASSERT(o == out.size(), "pool_bins_into: length mismatch");
-}
-
-// Output count pool_bins_into produces for n input bins.
-std::size_t pooled_count(std::size_t n, std::size_t max_bins) {
-  if (n <= max_bins) return n;
-  const std::size_t group = (n + max_bins - 1) / max_bins;
-  return (n + group - 1) / group;
 }
 
 }  // namespace
 
-Signature SignatureAcquirer::signature_from_capture(
-    const std::vector<double>& capture) const {
-  return to_signature(capture);
+// Pure arithmetic on a config the ctor validated; any n_fft maps to a
+// well-defined count. stf-analyze: allow(api-contract)
+std::size_t SignatureAcquirer::kept_fft_bins(std::size_t n_fft) const {
+  const double band = config_.signature_band_hz > 0.0
+                          ? config_.signature_band_hz
+                          : config_.digitizer.fs_hz / 2.0;
+  const auto n_keep = static_cast<std::size_t>(
+      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
+  return std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
 }
 
 // Pure length arithmetic: any n_capture (including 0, which yields 0 bins)
@@ -188,14 +188,8 @@ Signature SignatureAcquirer::signature_from_capture(
 std::size_t SignatureAcquirer::signature_length_for(
     std::size_t n_capture) const {
   if (!config_.use_fft_magnitude) return pooled_count(n_capture, max_bins_);
-  const std::size_t n_fft = stf::dsp::next_pow2(n_capture);
-  const double band = config_.signature_band_hz > 0.0
-                          ? config_.signature_band_hz
-                          : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
-      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-  return pooled_count(n_keep, max_bins_);
+  return pooled_count(kept_fft_bins(stf::dsp::next_pow2(n_capture)),
+                      max_bins_);
 }
 
 Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
@@ -217,13 +211,6 @@ Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
   faults.apply(cap_span, config_.digitizer.fs_hz, sequence, *rng);
   Signature s(signature_length_for(capture.size()));
   signature_into(cap_span, s);
-  return s;
-}
-
-Signature SignatureAcquirer::to_signature(
-    const std::vector<double>& capture) const {
-  Signature s(signature_length_for(capture.size()));
-  signature_into(capture, s);
   return s;
 }
 
@@ -254,13 +241,7 @@ void SignatureAcquirer::signature_into(std::span<const double> capture,
     padded[i] = stf::dsp::cplx(capture[i], 0.0);
   stf::dsp::fft_pow2_inplace({padded.data(), padded.size()});
 
-  const double band = config_.signature_band_hz > 0.0
-                          ? config_.signature_band_hz
-                          : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
-      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-
+  const std::size_t n_keep = kept_fft_bins(n_fft);
   if (n_keep == out.size()) {
     // No pooling: write the normalized magnitudes straight into out.
     for (std::size_t k = 0; k < n_keep; ++k)
@@ -300,38 +281,18 @@ Signature SignatureAcquirer::acquire(const stf::rf::RfDut& dut,
 }
 
 std::size_t SignatureAcquirer::signature_length() const {
-  const auto n_cap = static_cast<std::size_t>(std::floor(
-                         config_.capture_s * config_.digitizer.fs_hz)) +
-                     1;
-  if (!config_.use_fft_magnitude) return std::min(n_cap, max_bins_);
-  const std::size_t n_fft = stf::dsp::next_pow2(n_cap);
-  const double band = config_.signature_band_hz > 0.0
-                          ? config_.signature_band_hz
-                          : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
-      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-  return std::min(n_keep, max_bins_);
+  return signature_length_for(capture_length());
 }
 
 double SignatureAcquirer::expected_bin_noise_sigma() const {
-  const auto n_cap = static_cast<std::size_t>(std::floor(
-                         config_.capture_s * config_.digitizer.fs_hz)) +
-                     1;
+  const std::size_t n_cap = capture_length();
   const double sigma_t = config_.digitizer.noise_rms_v;
   if (!config_.use_fft_magnitude) return sigma_t;
   // White time-domain noise of std sigma_t spreads across the FFT: each
   // normalized complex bin has std sigma_t / sqrt(n); group-averaging g
   // bins reduces it by sqrt(g) more.
-  const std::size_t n_fft = stf::dsp::next_pow2(n_cap);
-  const std::size_t len = signature_length();
-  const double band = config_.signature_band_hz > 0.0
-                          ? config_.signature_band_hz
-                          : config_.digitizer.fs_hz / 2.0;
-  auto n_keep = static_cast<std::size_t>(
-      band / config_.digitizer.fs_hz * static_cast<double>(n_fft));
-  n_keep = std::min(std::max<std::size_t>(n_keep, 2), n_fft / 2);
-  const double group = static_cast<double>((n_keep + len - 1) / len);
+  const std::size_t n_keep = kept_fft_bins(stf::dsp::next_pow2(n_cap));
+  const auto group = static_cast<double>(pool_group(n_keep, max_bins_));
   return sigma_t / std::sqrt(static_cast<double>(n_cap) * group);
 }
 

@@ -58,15 +58,11 @@ class SignatureAcquirer {
                     stf::stats::Rng* rng, const stf::rf::FaultInjector& faults,
                     std::uint64_t sequence) const;
 
-  /// The digitized time-domain capture (before the FFT stage).
-  std::vector<double> raw_capture(const stf::rf::RfDut& dut,
-                                  const stf::dsp::PwlWaveform& stimulus,
-                                  stf::stats::Rng* rng) const;
-
-  /// Allocation-free raw_capture into caller storage (out.size() must be
-  /// capture_length()). The up-mixed stimulus is cached across calls and
-  /// all intermediate buffers come from the per-thread capture arena, so
-  /// steady-state acquisitions allocate nothing on the heap.
+  /// The digitized time-domain capture (before the FFT stage), written
+  /// into caller storage (out.size() must be capture_length()). The
+  /// up-mixed stimulus is cached across calls and all intermediate buffers
+  /// come from the per-thread capture arena, so steady-state acquisitions
+  /// allocate nothing on the heap.
   void raw_capture_into(const stf::rf::RfDut& dut,
                         const stf::dsp::PwlWaveform& stimulus,
                         stf::stats::Rng* rng, std::span<double> out) const;
@@ -74,20 +70,17 @@ class SignatureAcquirer {
   /// Number of samples in one digitized capture.
   std::size_t capture_length() const;
 
-  /// Allocation-free signature_from_capture into caller storage
+  /// The signature stage alone: FFT-magnitude (or pooled time-domain) bins
+  /// of an already-digitized capture, written into caller storage
   /// (out.size() must equal the signature length for this capture size --
-  /// signature_length() for production captures). Bit-identical to the
-  /// allocating overload.
+  /// signature_length() for production captures). Lets callers that need
+  /// to inspect or corrupt the capture (the guarded runtime, the fault
+  /// benches) reuse the exact production signature definition.
   void signature_into(std::span<const double> capture,
                       std::span<double> out) const;
 
-  /// The signature stage alone: FFT-magnitude (or pooled time-domain) bins
-  /// of an already-digitized capture. Lets callers that need to inspect or
-  /// corrupt the capture (the guarded runtime, the fault benches) reuse
-  /// the exact production signature definition.
-  Signature signature_from_capture(const std::vector<double>& capture) const;
-
-  /// Signature length produced by acquire() for this configuration.
+  /// Signature length produced by acquire() for this configuration:
+  /// signature_length_for(capture_length()).
   std::size_t signature_length() const;
 
   /// Approximate standard deviation of the digitizer noise as seen on one
@@ -97,10 +90,13 @@ class SignatureAcquirer {
   const SignatureTestConfig& config() const { return config_; }
 
  private:
-  Signature to_signature(const std::vector<double>& capture) const;
   /// Signature length signature_into() produces for an n_capture-sample
   /// capture (pool_bins ceil-division semantics).
   std::size_t signature_length_for(std::size_t n_capture) const;
+  /// In-band bins kept from an n_fft-point magnitude spectrum: DC up to
+  /// signature_band_hz (the Nyquist band when 0), at least 2 and at most
+  /// n_fft / 2.
+  std::size_t kept_fft_bins(std::size_t n_fft) const;
   /// The rendered stimulus after the board's up mixer, cached: production
   /// tests replay one waveform across the whole lot, and neither rendering
   /// nor upconversion depends on the device, so both are hoisted out of the

@@ -42,7 +42,6 @@ LotResult BatchRuntime::test_lot(const std::vector<const stf::rf::RfDut*>& lot,
                                  const BatchOptions& batch) const {
   STF_TRACE_SPAN("batch.test_lot");
   STF_REQUIRE(batch.batch_size >= 1, "BatchRuntime::test_lot: batch_size < 1");
-  STF_REQUIRE(guarded_.calibrated(), "BatchRuntime::test_lot: not calibrated");
   // Pin the calibration version ONCE for the whole lot: every device in it
   // screens and predicts on this snapshot, so a concurrent hot-swap never
   // mixes model versions inside a lot and the result stays bit-identical

@@ -126,8 +126,8 @@ using SpecsFn = std::function<std::vector<double>(std::size_t device_index)>;
 /// The raw material of one calibration pass: per-device averaged
 /// signatures (one row per device) and the per-bin single-capture noise
 /// variance estimated from the repeats (empty when n_avg == 1). Retained
-/// so signature-space screens (OutlierScreen, the guarded runtime's drift
-/// monitor) can be fitted on exactly the population the model saw.
+/// so a signature-space screen (OutlierScreen, FastestRuntime::fit) can be
+/// fitted on exactly the population the model saw.
 struct CaptureFitData {
   stf::la::Matrix signatures;
   std::vector<double> noise_var;

@@ -64,23 +64,7 @@ GuardedRuntime::GuardedRuntime(const SignatureTestConfig& config,
 // stf-analyze: allow(api-contract) -- copying an already-validated object
 GuardedRuntime::GuardedRuntime(const GuardedRuntime& other)
     : runtime_(other.runtime_), policy_(other.policy_) {
-  const stf::core::LockGuard lock(other.cal_mutex_);
-  cal_model_ = other.cal_model_;
-  screen_ = other.screen_;
-  cal_version_ = other.cal_version_;
-  drift_ewma_ = other.drift_ewma_;
-  drift_seeded_ = other.drift_seeded_;
-  drift_alarm_ = other.drift_alarm_;
-  drift_checks_ = other.drift_checks_;
-}
-
-// stf-analyze: allow(api-contract) -- moving an already-validated object
-GuardedRuntime::GuardedRuntime(GuardedRuntime&& other)
-    : runtime_(std::move(other.runtime_)), policy_(other.policy_) {
-  const stf::core::LockGuard lock(other.cal_mutex_);
-  cal_model_ = std::move(other.cal_model_);
-  screen_ = std::move(other.screen_);
-  cal_version_ = other.cal_version_;
+  const stf::core::LockGuard lock(other.drift_mutex_);
   drift_ewma_ = other.drift_ewma_;
   drift_seeded_ = other.drift_seeded_;
   drift_alarm_ = other.drift_alarm_;
@@ -90,55 +74,26 @@ GuardedRuntime::GuardedRuntime(GuardedRuntime&& other)
 void GuardedRuntime::calibrate(
     const std::vector<stf::rf::DeviceRecord>& training, stf::stats::Rng& rng,
     int n_avg) {
-  STF_REQUIRE(training.size() >= 2, "GuardedRuntime::calibrate: need >= 2");
-  runtime_.calibrate(training, rng, n_avg);
-  // The screen sees the same averaged signatures the regression trained on,
-  // with the per-bin variance inflated by the single-capture noise floor so
-  // production (single-capture) scores are not biased outward.
-  auto screen = std::make_shared<OutlierScreen>();
-  screen->fit(runtime_.calibration_signatures(),
-              runtime_.capture_noise_var());
-  const stf::core::LockGuard lock(cal_mutex_);
-  cal_model_ = runtime_.model();
-  screen_ = std::move(screen);
-  ++cal_version_;
+  const CalibrationVersion fitted = runtime_.fit(training, rng, n_avg);
+  const stf::core::LockGuard lock(drift_mutex_);
+  runtime_.publish(fitted.model, fitted.screen);
   reset_drift_monitor_locked();
-}
-
-CalibrationVersion GuardedRuntime::calibration() const {
-  const stf::core::LockGuard lock(cal_mutex_);
-  return CalibrationVersion{cal_model_, screen_, cal_version_};
-}
-
-std::shared_ptr<const OutlierScreen> GuardedRuntime::screen() const {
-  const stf::core::LockGuard lock(cal_mutex_);
-  return screen_;
 }
 
 std::uint64_t GuardedRuntime::swap_calibration(
     std::shared_ptr<const CalibrationModel> model,
     std::shared_ptr<const OutlierScreen> screen) {
   STF_TRACE_SPAN("guard.swap_calibration");
-  STF_REQUIRE(screen != nullptr,
-              "GuardedRuntime::swap_calibration: null screen");
-  STF_REQUIRE(screen->fitted(),
-              "GuardedRuntime::swap_calibration: unfitted screen");
-  STF_REQUIRE(screen->signature_length() ==
-                  runtime_.acquirer().signature_length(),
-              "GuardedRuntime::swap_calibration: screen length mismatch");
-  // set_model validates the model's own compatibility (fitted, signature
-  // length, spec count) and throws before anything is published.
-  runtime_.set_model(model);
-  const stf::core::LockGuard lock(cal_mutex_);
-  cal_model_ = std::move(model);
-  screen_ = std::move(screen);
-  ++cal_version_;
+  const stf::core::LockGuard lock(drift_mutex_);
+  // publish validates the pair and throws before anything is published.
+  const std::uint64_t version =
+      runtime_.publish(std::move(model), std::move(screen));
   // A freshly swapped-in model must not inherit the drifted model's latched
   // alarm, smoothed EWMA, or sample count: the whole point of the swap is
   // that the path is considered recalibrated.
   reset_drift_monitor_locked();
   STF_COUNT("guard.calibration_swaps");
-  return cal_version_;
+  return version;
 }
 
 TestDisposition GuardedRuntime::test_device(
@@ -239,22 +194,30 @@ DriftStatus GuardedRuntime::monitor_golden(const stf::rf::RfDut& golden,
   STF_REQUIRE(runtime_.calibrated(),
               "GuardedRuntime::monitor_golden: not calibrated");
   const SignatureAcquirer& acq = runtime_.acquirer();
-  std::vector<double> capture =
-      acq.raw_capture(golden, runtime_.stimulus(), &rng);
-  if (faults != nullptr)
-    faults->apply(capture, acq.config().digitizer.fs_hz, sequence, rng);
-  Signature signature = acq.signature_from_capture(capture);
+  Signature signature(acq.signature_length());
+  {
+    stf::core::Arena& arena = stf::core::capture_arena();
+    const stf::core::ArenaScope scope(arena);
+    stf::core::ArenaVector<double> capture(
+        acq.capture_length(), 0.0, stf::core::ArenaAllocator<double>(&arena));
+    const std::span<double> cap(capture.data(), capture.size());
+    acq.raw_capture_into(golden, runtime_.stimulus(), &rng, cap);
+    if (faults != nullptr)
+      faults->apply(cap, acq.config().digitizer.fs_hz, sequence, rng);
+    acq.signature_into(cap, signature);
+  }
 
   DriftStatus status;
   {
-    // Score and EWMA update in ONE critical section with the published
-    // calibration: a concurrent swap either happens before this check
-    // (scored by the new screen, folded into the reset monitor) or after
-    // it (old screen, old monitor) -- never a torn mix.
-    const stf::core::LockGuard lock(cal_mutex_);
-    STF_REQUIRE(screen_ != nullptr,
+    // Pin, score and fold in ONE drift-lock critical section: a concurrent
+    // swap either happens before this check (scored by the new screen,
+    // folded into the reset monitor) or after it (old screen, old monitor)
+    // -- never a torn mix.
+    const stf::core::LockGuard lock(drift_mutex_);
+    const CalibrationVersion cal = runtime_.calibration();
+    STF_REQUIRE(cal.screen != nullptr,
                 "GuardedRuntime::monitor_golden: not calibrated");
-    status.score = screen_->score(signature);
+    status.score = cal.screen->score(signature);
     // A single wild golden capture should not trigger recalibration of the
     // whole line; the EWMA demands a *sustained* wander. Non-finite scores
     // saturate the EWMA to the alarm level instead of poisoning it with NaN.
@@ -282,17 +245,17 @@ DriftStatus GuardedRuntime::monitor_golden(const stf::rf::RfDut& golden,
 }
 
 bool GuardedRuntime::recalibration_needed() const {
-  const stf::core::LockGuard lock(cal_mutex_);
+  const stf::core::LockGuard lock(drift_mutex_);
   return drift_alarm_;
 }
 
 std::uint64_t GuardedRuntime::drift_checks() const {
-  const stf::core::LockGuard lock(cal_mutex_);
+  const stf::core::LockGuard lock(drift_mutex_);
   return drift_checks_;
 }
 
 void GuardedRuntime::reset_drift_monitor() {
-  const stf::core::LockGuard lock(cal_mutex_);
+  const stf::core::LockGuard lock(drift_mutex_);
   reset_drift_monitor_locked();
 }
 

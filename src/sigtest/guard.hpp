@@ -29,13 +29,16 @@
 // FastestRuntime::test_device.
 //
 // Calibration versions and hot-swap: the model + outlier screen pair is an
-// immutable, versioned CalibrationVersion published RCU-style behind
-// shared_ptr<const>. test_device() snapshots the current version once at
-// entry and finishes on it, so a concurrent swap_calibration() (the online
-// recalibration path, src/store/recalibrate.hpp) never stops or tears an
-// in-flight test -- (seed, lot, model-version) stays bit-reproducible.
-// Swapping resets the drift monitor: a fresh model must not inherit the
-// drifted model's latched alarm, smoothed EWMA, or sample count.
+// immutable, versioned CalibrationVersion that the wrapped FastestRuntime
+// alone holds and publishes RCU-style behind shared_ptr<const>.
+// test_device() snapshots the current version once at entry and finishes
+// on it, so a concurrent swap_calibration() (the online recalibration
+// path, src/store/recalibrate.hpp) never stops or tears an in-flight test
+// -- (seed, lot, model-version) stays bit-reproducible. Swapping resets
+// the drift monitor: a fresh model must not inherit the drifted model's
+// latched alarm, smoothed EWMA, or sample count. The guard's own mutex
+// guards only that drift monitor; it is always taken before the runtime's
+// snapshot lock, never after.
 #pragma once
 
 #include <cstdint>
@@ -112,16 +115,6 @@ struct DriftStatus {
   bool alarm = false;  ///< Recalibration flag (latched).
 };
 
-/// One immutable published calibration: the regression model and the
-/// outlier screen fitted on the same training signatures, plus the
-/// monotonically increasing version number. Snapshotting this struct pins
-/// a consistent (model, screen) pair for the duration of a lot.
-struct CalibrationVersion {
-  std::shared_ptr<const CalibrationModel> model;
-  std::shared_ptr<const OutlierScreen> screen;
-  std::uint64_t version = 0;  ///< 0 = never calibrated.
-};
-
 /// FastestRuntime plus the validation/retest/escalation/drift machinery.
 class GuardedRuntime {
  public:
@@ -131,18 +124,14 @@ class GuardedRuntime {
                  CalibrationOptions cal_options = {},
                  std::size_t max_signature_bins = 16);
 
-  // Copy/move snapshot the published calibration version and the drift
-  // state under the source's lock; model and screen stay shared (they are
-  // immutable). Not supported concurrently with calibrate() on the source.
+  // Copying snapshots the published calibration under the source's
+  // snapshot lock and the drift state under its drift lock; model and
+  // screen stay shared (they are immutable).
   GuardedRuntime(const GuardedRuntime& other);
-  GuardedRuntime(GuardedRuntime&& other);
   GuardedRuntime& operator=(const GuardedRuntime&) = delete;
-  GuardedRuntime& operator=(GuardedRuntime&&) = delete;
 
-  /// Calibrate the regression AND fit the signature-space outlier screen on
-  /// the same averaged training signatures (inflated by the single-capture
-  /// noise floor, exactly as the calibration model normalizes). Resets the
-  /// drift monitor.
+  /// Fit and publish the regression and the outlier screen
+  /// (FastestRuntime::fit), then reset the drift monitor.
   void calibrate(const std::vector<stf::rf::DeviceRecord>& training,
                  stf::stats::Rng& rng, int n_avg = 8);
 
@@ -190,15 +179,14 @@ class GuardedRuntime {
   /// latched alarm, smoothed EWMA, and sample count all reset together.
   void reset_drift_monitor();
 
-  /// Snapshot the current calibration version (RCU read side). The
-  /// returned model/screen stay valid and immutable for as long as the
-  /// caller holds them, regardless of concurrent swaps.
-  CalibrationVersion calibration() const;
+  /// Snapshot the current calibration version (RCU read side): the
+  /// wrapped runtime's FastestRuntime::calibration().
+  CalibrationVersion calibration() const { return runtime_.calibration(); }
 
   /// Hot-swap in a new (model, screen) pair under live traffic and return
-  /// the new version number. Validates dimensional compatibility against
-  /// the acquirer and spec names before publishing; throws without
-  /// swapping on a mismatch. Resets the drift monitor -- the new model
+  /// the new version number. FastestRuntime::publish validates it and
+  /// throws without swapping on a mismatch. Resets the drift monitor in
+  /// the same drift-lock critical section as the publish -- the new model
   /// must not be re-alarmed by the old model's history. Callable on a
   /// never-calibrated runtime (the store cold-start path).
   std::uint64_t swap_calibration(
@@ -207,30 +195,24 @@ class GuardedRuntime {
 
   bool calibrated() const { return runtime_.calibrated(); }
   const FastestRuntime& runtime() const { return runtime_; }
-  /// The current outlier screen (null before calibration).
-  std::shared_ptr<const OutlierScreen> screen() const;
   const GuardPolicy& policy() const { return policy_; }
 
  private:
-  /// Reset drift state with cal_mutex_ already held (swap path).
-  void reset_drift_monitor_locked() STF_REQUIRES(cal_mutex_);
+  /// Reset drift state with drift_mutex_ already held (swap path).
+  void reset_drift_monitor_locked() STF_REQUIRES(drift_mutex_);
 
   FastestRuntime runtime_;
   GuardPolicy policy_;
-  // The published calibration version and the drift monitor share one
-  // mutex: a swap replaces the (model, screen) pair AND clears the drift
-  // history in a single critical section, so no golden check can fold a
-  // pre-swap score into a post-swap EWMA.
-  mutable stf::core::Mutex cal_mutex_;
-  std::shared_ptr<const CalibrationModel> cal_model_
-      STF_GUARDED_BY(cal_mutex_);
-  std::shared_ptr<const OutlierScreen> screen_ STF_GUARDED_BY(cal_mutex_);
-  std::uint64_t cal_version_ STF_GUARDED_BY(cal_mutex_) = 0;
-  // Drift-monitor state.
-  double drift_ewma_ STF_GUARDED_BY(cal_mutex_) = 0.0;
-  bool drift_seeded_ STF_GUARDED_BY(cal_mutex_) = false;
-  bool drift_alarm_ STF_GUARDED_BY(cal_mutex_) = false;
-  std::uint64_t drift_checks_ STF_GUARDED_BY(cal_mutex_) = 0;
+  // The drift monitor. A swap publishes the new calibration AND clears the
+  // drift history under this lock, and a golden check pins the snapshot,
+  // scores and folds under it, so no check folds a pre-swap score into a
+  // post-swap EWMA. Lock order: drift_mutex_, then the snapshot lock.
+  mutable stf::core::Mutex drift_mutex_
+      STF_ACQUIRED_BEFORE(runtime_.snapshot_mutex_);
+  double drift_ewma_ STF_GUARDED_BY(drift_mutex_) = 0.0;
+  bool drift_seeded_ STF_GUARDED_BY(drift_mutex_) = false;
+  bool drift_alarm_ STF_GUARDED_BY(drift_mutex_) = false;
+  std::uint64_t drift_checks_ STF_GUARDED_BY(drift_mutex_) = 0;
 };
 
 }  // namespace stf::sigtest

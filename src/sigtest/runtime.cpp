@@ -22,53 +22,52 @@ FastestRuntime::FastestRuntime(const SignatureTestConfig& config,
   STF_REQUIRE(!spec_names_.empty(), "FastestRuntime: no spec names");
 }
 
+// stf-analyze: allow(api-contract) -- copying an already-validated object
 FastestRuntime::FastestRuntime(const FastestRuntime& other)
     : acquirer_(other.acquirer_),
       stimulus_(other.stimulus_),
       spec_names_(other.spec_names_),
       cal_options_(other.cal_options_),
-      model_(other.model()),
-      cal_data_(other.cal_data_) {}
+      published_(other.calibration()) {}
 
-FastestRuntime::FastestRuntime(FastestRuntime&& other)
-    : acquirer_(std::move(other.acquirer_)),
-      stimulus_(std::move(other.stimulus_)),
-      spec_names_(std::move(other.spec_names_)),
-      cal_options_(other.cal_options_),
-      model_(other.model()),
-      cal_data_(std::move(other.cal_data_)) {}
-
-std::shared_ptr<const CalibrationModel> FastestRuntime::model() const {
-  const stf::core::LockGuard lock(model_mutex_);
-  return model_;
+CalibrationVersion FastestRuntime::calibration() const {
+  const stf::core::LockGuard lock(snapshot_mutex_);
+  return published_;
 }
 
-void FastestRuntime::set_model(std::shared_ptr<const CalibrationModel> model) {
-  STF_REQUIRE(model != nullptr, "FastestRuntime::set_model: null model");
-  STF_REQUIRE(model->fitted(), "FastestRuntime::set_model: unfitted model");
+std::uint64_t FastestRuntime::publish(
+    std::shared_ptr<const CalibrationModel> model,
+    std::shared_ptr<const OutlierScreen> screen) {
+  STF_REQUIRE(model != nullptr, "FastestRuntime::publish: null model");
+  STF_REQUIRE(model->fitted(), "FastestRuntime::publish: unfitted model");
   STF_REQUIRE(model->signature_length() == acquirer_.signature_length(),
-              "FastestRuntime::set_model: signature length mismatch");
+              "FastestRuntime::publish: signature length mismatch");
   STF_REQUIRE(model->n_specs() == spec_names_.size(),
-              "FastestRuntime::set_model: spec count mismatch");
-  const stf::core::LockGuard lock(model_mutex_);
-  model_ = std::move(model);
+              "FastestRuntime::publish: spec count mismatch");
+  STF_REQUIRE(screen != nullptr, "FastestRuntime::publish: null screen");
+  STF_REQUIRE(screen->fitted(), "FastestRuntime::publish: unfitted screen");
+  STF_REQUIRE(screen->signature_length() == acquirer_.signature_length(),
+              "FastestRuntime::publish: screen length mismatch");
+  const stf::core::LockGuard lock(snapshot_mutex_);
+  published_.model = std::move(model);
+  published_.screen = std::move(screen);
+  return ++published_.version;
 }
 
-void FastestRuntime::calibrate(
+CalibrationVersion FastestRuntime::fit(
     const std::vector<stf::rf::DeviceRecord>& training,
-    stf::stats::Rng& rng, int n_avg) {
+    stf::stats::Rng& rng, int n_avg) const {
   STF_TRACE_SPAN("runtime.calibrate");
   STF_REQUIRE(training.size() >= 2,
-              "FastestRuntime::calibrate: need >= 2 devices");
-  STF_REQUIRE(n_avg >= 1, "FastestRuntime::calibrate: n_avg < 1");
+              "FastestRuntime::fit: need >= 2 devices");
+  STF_REQUIRE(n_avg >= 1, "FastestRuntime::fit: n_avg < 1");
   const std::size_t m = acquirer_.signature_length();
   const std::size_t n_specs = spec_names_.size();
 
-  // Fit into a fresh model, then publish it atomically: a reader holding
-  // the previous snapshot never observes a half-fitted model.
-  CalibrationModel fitted(cal_options_);
+  auto model = std::make_shared<CalibrationModel>(cal_options_);
+  CaptureFitData data;
   fit_from_captures(
-      fitted, training.size(),
+      *model, training.size(),
       [&](std::size_t i) {
         const Signature s =
             acquirer_.acquire(*training[i].dut, stimulus_, &rng);
@@ -81,15 +80,24 @@ void FastestRuntime::calibrate(
                     "FastestRuntime: spec vector mismatch");
         return p;
       },
-      n_avg, &cal_data_);
-  set_model(std::make_shared<const CalibrationModel>(std::move(fitted)));
+      n_avg, &data);
+  auto screen = std::make_shared<OutlierScreen>();
+  screen->fit(data.signatures, data.noise_var);
+  return CalibrationVersion{std::move(model), std::move(screen), 0};
+}
+
+void FastestRuntime::calibrate(
+    const std::vector<stf::rf::DeviceRecord>& training,
+    stf::stats::Rng& rng, int n_avg) {
+  const CalibrationVersion fitted = fit(training, rng, n_avg);
+  publish(fitted.model, fitted.screen);
 }
 
 std::vector<double> FastestRuntime::test_device(const stf::rf::RfDut& dut,
                                                 stf::stats::Rng& rng) const {
   STF_TRACE_SPAN("runtime.test_device");
   STF_COUNT("runtime.devices_tested");
-  const auto model = this->model();
+  const auto model = calibration().model;
   STF_REQUIRE(model != nullptr, "FastestRuntime::test_device: not calibrated");
   return model->predict(acquirer_.acquire(dut, stimulus_, &rng));
 }
@@ -99,24 +107,10 @@ std::vector<double> FastestRuntime::test_device(
     const stf::rf::FaultInjector& faults, std::uint64_t sequence) const {
   STF_TRACE_SPAN("runtime.test_device");
   STF_COUNT("runtime.devices_tested");
-  const auto model = this->model();
+  const auto model = calibration().model;
   STF_REQUIRE(model != nullptr, "FastestRuntime::test_device: not calibrated");
   return model->predict(acquirer_.acquire(dut, stimulus_, &rng, faults,
                                           sequence));
-}
-
-std::vector<double> FastestRuntime::predict(const Signature& signature) const {
-  const auto model = this->model();
-  STF_REQUIRE(model != nullptr, "FastestRuntime::predict: not calibrated");
-  return model->predict(signature);
-}
-
-stf::la::Matrix FastestRuntime::predict_batch(
-    const stf::la::Matrix& signatures) const {
-  const auto model = this->model();
-  STF_REQUIRE(model != nullptr,
-              "FastestRuntime::predict_batch: not calibrated");
-  return model->predict_batch(signatures);
 }
 
 ValidationReport FastestRuntime::validate(

@@ -7,6 +7,7 @@
 // specification -- no RF ATE involved.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "rf/population.hpp"
 #include "sigtest/acquisition.hpp"
 #include "sigtest/calibration.hpp"
+#include "sigtest/outlier.hpp"
 #include "stats/rng.hpp"
 
 namespace stf::sigtest {
@@ -35,8 +37,19 @@ struct ValidationReport {
   std::vector<SpecScatter> specs;
 };
 
-/// The runtime: a configured signature path + optimized stimulus + fitted
-/// calibration model.
+/// One immutable published calibration: the regression model and the
+/// outlier screen fitted on the same training signatures, plus the
+/// monotonically increasing version number. Snapshotting this struct pins
+/// a consistent (model, screen) pair for the duration of a lot.
+struct CalibrationVersion {
+  std::shared_ptr<const CalibrationModel> model;
+  std::shared_ptr<const OutlierScreen> screen;
+  std::uint64_t version = 0;  ///< 0 = never published.
+};
+
+/// The runtime: a configured signature path + optimized stimulus + the one
+/// published calibration. Its single mutex guards the CalibrationVersion;
+/// every other member is immutable after construction.
 class FastestRuntime {
  public:
   FastestRuntime(const SignatureTestConfig& config,
@@ -45,21 +58,42 @@ class FastestRuntime {
                  CalibrationOptions cal_options = {},
                  std::size_t max_signature_bins = 16);
 
-  // Copy/move snapshot the published model under the source's lock (the
-  // model itself is immutable and shared, never deep-copied). Copying
-  // concurrently with calibrate() on the source is not supported.
+  // Copying snapshots the published calibration under the source's lock
+  // (model and screen are immutable and shared, never deep-copied).
   FastestRuntime(const FastestRuntime& other);
-  FastestRuntime(FastestRuntime&& other);
   FastestRuntime& operator=(const FastestRuntime&) = delete;
-  FastestRuntime& operator=(FastestRuntime&&) = delete;
 
-  /// One-time calibration on the training devices. Signatures are acquired
-  /// with noise from rng (the real tester is noisy during calibration too);
-  /// n_avg captures per device are averaged -- calibration is a one-time
-  /// effort, so spending extra captures there is standard practice and
-  /// removes the errors-in-variables bias a noisy regressor suffers.
+  /// Fit a calibration on the training devices without publishing it.
+  /// Signatures are acquired with noise from rng (the real tester is noisy
+  /// during calibration too); n_avg captures per device are averaged --
+  /// calibration is a one-time effort, so spending extra captures there is
+  /// standard practice and removes the errors-in-variables bias a noisy
+  /// regressor suffers. The regression and the outlier screen see the same
+  /// averaged signatures; the screen's per-bin variance is inflated by the
+  /// single-capture noise floor, exactly as the model normalizes, so
+  /// production (single-capture) scores are not biased outward. The
+  /// returned version number is 0.
+  CalibrationVersion fit(const std::vector<stf::rf::DeviceRecord>& training,
+                         stf::stats::Rng& rng, int n_avg = 8) const;
+
+  /// Publish a (model, screen) pair under live traffic and return its new
+  /// version number. Both must be fitted and dimensionally compatible
+  /// (signature_length == acquirer().signature_length(), n_specs ==
+  /// spec_names().size()); anything else throws without publishing.
+  /// Readers mid-test keep their snapshot; new tests see the new pair.
+  std::uint64_t publish(std::shared_ptr<const CalibrationModel> model,
+                        std::shared_ptr<const OutlierScreen> screen);
+
+  /// One-time calibration: publish(fit(training, rng, n_avg)).
   void calibrate(const std::vector<stf::rf::DeviceRecord>& training,
                  stf::stats::Rng& rng, int n_avg = 8);
+
+  /// RCU-style snapshot of the published calibration (null model and
+  /// screen, version 0, before the first publish). The returned pair is
+  /// immutable and stays valid for as long as the caller holds it, no
+  /// matter how many publishes happen meanwhile -- this is what lets
+  /// in-flight lots finish on the version they started with.
+  CalibrationVersion calibration() const;
 
   /// Production-test one device: acquire its signature and map to specs.
   std::vector<double> test_device(const stf::rf::RfDut& dut,
@@ -76,15 +110,6 @@ class FastestRuntime {
                                   const stf::rf::FaultInjector& faults,
                                   std::uint64_t sequence) const;
 
-  /// Regression evaluation alone: map an already-acquired signature to
-  /// specs (the guarded runtime validates captures first, then predicts).
-  std::vector<double> predict(const Signature& signature) const;
-
-  /// Batched regression evaluation: one signature per row in, one
-  /// prediction per row out. Bit-identical to predict() row by row (see
-  /// CalibrationModel::predict_batch); the batch runtime's throughput path.
-  stf::la::Matrix predict_batch(const stf::la::Matrix& signatures) const;
-
   /// Test every validation device and compare predictions against their
   /// reference specs.
   ValidationReport validate(const std::vector<stf::rf::DeviceRecord>& devices,
@@ -93,42 +118,18 @@ class FastestRuntime {
   const SignatureAcquirer& acquirer() const { return acquirer_; }
   const stf::dsp::PwlWaveform& stimulus() const { return stimulus_; }
   const std::vector<std::string>& spec_names() const { return spec_names_; }
-  bool calibrated() const { return model() != nullptr; }
-
-  /// RCU-style snapshot of the current calibration model (null before
-  /// calibration). The returned pointer is immutable and stays valid for
-  /// as long as the caller holds it, no matter how many set_model() swaps
-  /// happen meanwhile -- this is what lets in-flight lots finish on the
-  /// model version they started with.
-  std::shared_ptr<const CalibrationModel> model() const;
-
-  /// Hot-swap the calibration model under live traffic. The model must be
-  /// fitted and dimensionally compatible (signature_length ==
-  /// acquirer().signature_length(), n_specs == spec_names().size());
-  /// anything else throws without publishing. Readers mid-predict keep
-  /// their snapshot; new predictions see the new model.
-  void set_model(std::shared_ptr<const CalibrationModel> model);
-
-  /// Averaged calibration signatures (one row per training device),
-  /// retained by calibrate() so signature-space screens can be fitted on
-  /// exactly the population the regression saw. Empty before calibration.
-  const stf::la::Matrix& calibration_signatures() const {
-    return cal_data_.signatures;
-  }
-  /// Per-bin single-capture noise variance estimated during calibration
-  /// (empty when calibrated with n_avg == 1).
-  const std::vector<double>& capture_noise_var() const {
-    return cal_data_.noise_var;
-  }
+  bool calibrated() const { return calibration().model != nullptr; }
 
  private:
+  // GuardedRuntime names snapshot_mutex_ in its lock-order annotation.
+  friend class GuardedRuntime;
+
   SignatureAcquirer acquirer_;
   stf::dsp::PwlWaveform stimulus_;
   std::vector<std::string> spec_names_;
   CalibrationOptions cal_options_;
-  mutable stf::core::Mutex model_mutex_;
-  std::shared_ptr<const CalibrationModel> model_ STF_GUARDED_BY(model_mutex_);
-  CaptureFitData cal_data_;
+  mutable stf::core::Mutex snapshot_mutex_;
+  CalibrationVersion published_ STF_GUARDED_BY(snapshot_mutex_);
 };
 
 }  // namespace stf::sigtest

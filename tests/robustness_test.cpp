@@ -363,7 +363,7 @@ TEST_F(GuardedFaults, GuardNeverAddsEscapes) {
 // in-population (regression: NaN propagated through score() used to make
 // is_outlier return false and the corrupted capture was predicted).
 TEST_F(GuardedFaults, NonFiniteSignatureBinIsAnOutlier) {
-  const auto& screen = *guarded_->screen();
+  const auto& screen = *guarded_->calibration().screen;
   stats::Rng rng(3);
   auto sig = guarded_->runtime().acquirer().acquire(*(*lot_)[0].dut,
                                                     guarded_->runtime()

@@ -9,10 +9,12 @@
 
 #include "circuit/lna900.hpp"
 #include "rf/dut.hpp"
+#include "rf/population.hpp"
 #include "sigtest/acquisition.hpp"
 #include "sigtest/calibration.hpp"
 #include "sigtest/objective.hpp"
 #include "sigtest/optimizer.hpp"
+#include "sigtest/runtime.hpp"
 #include "sigtest/sensitivity.hpp"
 #include "stats/rng.hpp"
 
@@ -206,6 +208,47 @@ TEST(Acquisition, HardwareStudyConfigDiffers) {
   EXPECT_DOUBLE_EQ(hw.digitizer.fs_hz, 1e6);
   EXPECT_DOUBLE_EQ(hw.board.lo_offset_hz, 100e3);
   EXPECT_DOUBLE_EQ(sim.digitizer.fs_hz, 20e6);
+}
+
+// Regression: signature_length() used to return min(bins, max_bins), which
+// disagrees with what acquire() pools to whenever max_bins does not divide
+// the bin count (32 vs 26 time-domain bins, 16 vs 14 kept FFT bins at an
+// 8.6 MHz band), and FastestRuntime::calibrate then threw on its own
+// signature length check.
+TEST(Acquisition, SignatureLengthMatchesAcquireWhenPoolingIsUneven) {
+  auto time_domain = SignatureTestConfig::simulation_study();
+  time_domain.use_fft_magnitude = false;
+  auto narrow_band = SignatureTestConfig::simulation_study();
+  narrow_band.signature_band_hz = 8.6e6;
+  stf::rf::IdealGainDut dut(Cplx(2.0, 0.0));
+  const SignatureAcquirer by_time(time_domain, 32);
+  const SignatureAcquirer by_band(narrow_band, 16);
+  EXPECT_EQ(by_time.signature_length(),
+            by_time.acquire(dut, test_stimulus(time_domain.capture_s), nullptr)
+                .size());
+  EXPECT_EQ(by_time.signature_length(), 26u);
+  EXPECT_EQ(by_band.signature_length(),
+            by_band.acquire(dut, test_stimulus(narrow_band.capture_s), nullptr)
+                .size());
+  EXPECT_EQ(by_band.signature_length(), 14u);
+
+  FastestRuntime runtime(narrow_band, test_stimulus(narrow_band.capture_s),
+                         stf::circuit::LnaSpecs::names());
+  stf::stats::Rng rng(5);
+  runtime.calibrate(stf::rf::make_lna_population(12, 0.2, 3), rng, 2);
+  ASSERT_TRUE(runtime.calibrated());
+  EXPECT_EQ(runtime.calibration().model->signature_length(), 14u);
+
+  // The fix must not move the Eq. 10 objective's sigma_m on the production
+  // configurations (values recorded before it).
+  const SignatureAcquirer sim(SignatureTestConfig::simulation_study(), 16);
+  const SignatureAcquirer hw(SignatureTestConfig::hardware_study(), 16);
+  const SignatureAcquirer sim64(SignatureTestConfig::simulation_study(), 64);
+  const SignatureAcquirer hw64(SignatureTestConfig::hardware_study(), 64);
+  EXPECT_DOUBLE_EQ(sim.expected_bin_noise_sigma(), 4.9751859510499461e-05);
+  EXPECT_DOUBLE_EQ(hw.expected_bin_noise_sigma(), 9.8763083850339965e-07);
+  EXPECT_DOUBLE_EQ(sim64.expected_bin_noise_sigma(), 9.9503719020998922e-05);
+  EXPECT_DOUBLE_EQ(hw64.expected_bin_noise_sigma(), 1.9609652646592205e-06);
 }
 
 // -------------------------------------------------------------- objective --

@@ -511,6 +511,69 @@ TEST(RecalibratorTest, SwapResetsAlarmEwmaAndSampleCount) {
   EXPECT_FALSE(status.alarm);
 }
 
+// The published calibration lives in one place (FastestRuntime), so no
+// reader -- through the guard, through runtime(), or copying the whole
+// GuardedRuntime -- can pair a model of one version with a screen of
+// another while a writer hot-swaps tagged pairs.
+TEST(RecalibratorTest, EverySnapshotPairsModelAndScreenOfOneVersion) {
+  auto runtime = recal_world().fresh_runtime();
+  auto& guarded = runtime->guarded();
+  constexpr std::uint64_t kSwaps = 200;
+
+  // expected[v] is the (model, screen) pair version v must carry; each pair
+  // is tagged by its own shared_ptr identities.
+  std::vector<sigtest::CalibrationVersion> expected(kSwaps + 2);
+  expected[1] = guarded.calibration();
+  ASSERT_EQ(expected[1].version, 1u);
+  for (std::uint64_t v = 2; v < expected.size(); ++v) {
+    expected[v].model =
+        std::make_shared<const sigtest::CalibrationModel>(*expected[1].model);
+    expected[v].screen =
+        std::make_shared<const sigtest::OutlierScreen>(*expected[1].screen);
+    expected[v].version = v;
+  }
+  auto consistent = [&](const sigtest::CalibrationVersion& snap) {
+    return snap.version >= 1 && snap.version < expected.size() &&
+           snap.model == expected[snap.version].model &&
+           snap.screen == expected[snap.version].screen;
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> torn{0};
+  std::atomic<std::size_t> mismatched_after_swap{0};
+  std::thread writer([&] {
+    for (std::uint64_t v = 2; v < expected.size(); ++v) {
+      const std::uint64_t got =
+          guarded.swap_calibration(expected[v].model, expected[v].screen);
+      if (got != v || guarded.runtime().calibration().version !=
+                          guarded.calibration().version)
+        mismatched_after_swap.fetch_add(1);
+    }
+    done.store(true);
+  });
+  std::thread reader([&] {
+    while (!done.load()) {
+      if (!consistent(guarded.calibration())) torn.fetch_add(1);
+      if (!consistent(guarded.runtime().calibration())) torn.fetch_add(1);
+    }
+  });
+  std::thread copier([&] {
+    while (!done.load()) {
+      const sigtest::GuardedRuntime copy(guarded);
+      if (!consistent(copy.calibration())) torn.fetch_add(1);
+    }
+  });
+  writer.join();
+  reader.join();
+  copier.join();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(mismatched_after_swap.load(), 0u);
+  EXPECT_EQ(guarded.calibration().version, kSwaps + 1);
+  EXPECT_EQ(guarded.runtime().calibration().model,
+            expected.back().model);
+}
+
 TEST(RecalibratorTest, InFlightLotsPinTheirStartingVersionBitExactly) {
   auto runtime = recal_world().fresh_runtime();
   const auto& lot_records = recal_world().lot;
